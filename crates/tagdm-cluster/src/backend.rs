@@ -89,7 +89,8 @@ impl ShardBackend for LocalShard {
     }
 
     fn health(&self) -> Result<HealthReport, ShardError> {
-        Ok(HealthReport::gather(&self.engine, false))
+        // An in-process shard holds no transport connections.
+        Ok(HealthReport::gather(&self.engine, false, 0))
     }
 
     fn kind(&self) -> &'static str {

@@ -49,11 +49,12 @@ pub enum SpillPolicy {
     FailFast,
 }
 
-/// Ring geometry, breaker thresholds and spill behaviour for a [`Cluster`].
+/// Virtual nodes per shard on the consistent-hash ring.
+const VIRTUAL_NODES: usize = 64;
+
+/// Ring seed, breaker thresholds and spill behaviour for a [`Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub virtual_nodes: usize,
     /// Ring seed: same seed + same members ⇒ identical placement, everywhere.
     pub seed: u64,
     /// Breaker thresholds applied to every shard.
@@ -63,11 +64,9 @@ pub struct ClusterConfig {
 }
 
 impl Default for ClusterConfig {
-    /// 64 virtual nodes, a fixed seed, default breaker thresholds and
-    /// spill-to-next-replica.
+    /// A fixed seed, default breaker thresholds and spill-to-next-replica.
     fn default() -> Self {
         ClusterConfig {
-            virtual_nodes: 64,
             seed: 0x7a6d_2012,
             breaker: BreakerConfig::default(),
             spill: SpillPolicy::NextReplica,
@@ -76,12 +75,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Override the virtual-node count.
-    pub fn with_virtual_nodes(mut self, virtual_nodes: usize) -> Self {
-        self.virtual_nodes = virtual_nodes;
-        self
-    }
-
     /// Override the ring seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -145,7 +138,7 @@ impl ClusterBuilder {
 
     /// Build the cluster: every added shard takes its virtual nodes on the ring.
     pub fn build(self) -> Cluster {
-        let mut ring = HashRing::new(self.config.virtual_nodes, self.config.seed);
+        let mut ring = HashRing::new(VIRTUAL_NODES, self.config.seed);
         for (index, shard) in self.shards.iter().enumerate() {
             ring.insert(index, &shard.name);
         }

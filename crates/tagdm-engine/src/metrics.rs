@@ -44,29 +44,6 @@ pub struct EngineMetrics {
     pub outcome_hits: AtomicU64,
     /// Solver-outcome cache misses (each one ran a solver).
     pub outcome_misses: AtomicU64,
-    /// Pairwise objective-matrix cache hits.
-    pub matrix_hits: AtomicU64,
-    /// Pairwise objective-matrix cache misses.
-    pub matrix_misses: AtomicU64,
-    /// TCP connections accepted by the `tagdm-net` transport.
-    pub net_connections_opened: AtomicU64,
-    /// Transport connections closed, whatever the reason (client EOF, protocol
-    /// fault, deadline cut, draining shutdown).
-    pub net_connections_closed: AtomicU64,
-    /// Request frames the transport decoded successfully.
-    pub net_frames_received: AtomicU64,
-    /// Response frames the transport wrote successfully.
-    pub net_frames_sent: AtomicU64,
-    /// Frames rejected as protocol faults (bad magic, version, kind, length or JSON).
-    pub net_frame_errors: AtomicU64,
-    /// Connections cut because a read or write deadline fired (slow or stalled peer).
-    pub net_deadline_disconnects: AtomicU64,
-    /// `GoAway` frames sent while draining for shutdown.
-    pub net_goaways_sent: AtomicU64,
-    /// Connection handlers that panicked; the panic was isolated to that connection.
-    pub net_conn_panics: AtomicU64,
-    /// Acceptor threads respawned by the transport's supervision guard.
-    pub net_acceptor_restarts: AtomicU64,
     /// Time jobs spent queued before a worker picked them up.
     pub queue_wait: LatencyHistogram,
     /// Time spent building mining contexts (cache-miss path only).
@@ -118,55 +95,6 @@ impl EngineMetrics {
         Self::add(&self.context_builds_deduped);
     }
 
-    // The `net_*` recorders are `pub`: they are stamped by the out-of-crate
-    // `tagdm-net` transport, which folds its connection/frame counters into this
-    // registry so one `MetricsSnapshot` covers the whole service.
-
-    /// Record an accepted transport connection.
-    pub fn net_connection_opened(&self) {
-        Self::add(&self.net_connections_opened);
-    }
-
-    /// Record a closed transport connection.
-    pub fn net_connection_closed(&self) {
-        Self::add(&self.net_connections_closed);
-    }
-
-    /// Record a request frame decoded successfully.
-    pub fn net_frame_received(&self) {
-        Self::add(&self.net_frames_received);
-    }
-
-    /// Record a response frame written successfully.
-    pub fn net_frame_sent(&self) {
-        Self::add(&self.net_frames_sent);
-    }
-
-    /// Record a frame rejected as a protocol fault.
-    pub fn net_frame_error(&self) {
-        Self::add(&self.net_frame_errors);
-    }
-
-    /// Record a connection cut at its read/write deadline.
-    pub fn net_deadline_disconnect(&self) {
-        Self::add(&self.net_deadline_disconnects);
-    }
-
-    /// Record a `GoAway` frame sent while draining.
-    pub fn net_goaway_sent(&self) {
-        Self::add(&self.net_goaways_sent);
-    }
-
-    /// Record a connection handler panic that was isolated.
-    pub fn net_conn_panicked(&self) {
-        Self::add(&self.net_conn_panics);
-    }
-
-    /// Record an acceptor-thread respawn.
-    pub fn net_acceptor_restarted(&self) {
-        Self::add(&self.net_acceptor_restarts);
-    }
-
     pub(crate) fn context_lookup(&self, hit: bool) {
         Self::add(if hit {
             &self.context_hits
@@ -180,14 +108,6 @@ impl EngineMetrics {
             &self.outcome_hits
         } else {
             &self.outcome_misses
-        });
-    }
-
-    pub(crate) fn matrix_lookup(&self, hit: bool) {
-        Self::add(if hit {
-            &self.matrix_hits
-        } else {
-            &self.matrix_misses
         });
     }
 
@@ -224,17 +144,6 @@ impl EngineMetrics {
             context_misses: load(&self.context_misses),
             outcome_hits: load(&self.outcome_hits),
             outcome_misses: load(&self.outcome_misses),
-            matrix_hits: load(&self.matrix_hits),
-            matrix_misses: load(&self.matrix_misses),
-            net_connections_opened: load(&self.net_connections_opened),
-            net_connections_closed: load(&self.net_connections_closed),
-            net_frames_received: load(&self.net_frames_received),
-            net_frames_sent: load(&self.net_frames_sent),
-            net_frame_errors: load(&self.net_frame_errors),
-            net_deadline_disconnects: load(&self.net_deadline_disconnects),
-            net_goaways_sent: load(&self.net_goaways_sent),
-            net_conn_panics: load(&self.net_conn_panics),
-            net_acceptor_restarts: load(&self.net_acceptor_restarts),
             queue_wait: self.queue_wait.snapshot(),
             context_build: self.context_build.snapshot(),
             solve_hit: self.solve_hit.snapshot(),
@@ -272,28 +181,6 @@ pub struct MetricsSnapshot {
     pub outcome_hits: u64,
     /// Outcome-cache misses.
     pub outcome_misses: u64,
-    /// Objective-matrix cache hits.
-    pub matrix_hits: u64,
-    /// Objective-matrix cache misses.
-    pub matrix_misses: u64,
-    /// Transport connections accepted.
-    pub net_connections_opened: u64,
-    /// Transport connections closed.
-    pub net_connections_closed: u64,
-    /// Request frames decoded by the transport.
-    pub net_frames_received: u64,
-    /// Response frames written by the transport.
-    pub net_frames_sent: u64,
-    /// Frames rejected as protocol faults.
-    pub net_frame_errors: u64,
-    /// Connections cut at a read/write deadline.
-    pub net_deadline_disconnects: u64,
-    /// `GoAway` frames sent while draining.
-    pub net_goaways_sent: u64,
-    /// Isolated connection-handler panics.
-    pub net_conn_panics: u64,
-    /// Acceptor-thread respawns.
-    pub net_acceptor_restarts: u64,
     /// Queue-wait latency distribution.
     pub queue_wait: HistogramSnapshot,
     /// Context-build latency distribution (misses only).
@@ -321,31 +208,6 @@ impl MetricsSnapshot {
     /// Fraction of outcome lookups served from cache (0 when there were none).
     pub fn outcome_hit_ratio(&self) -> f64 {
         ratio(self.outcome_hits, self.outcome_misses)
-    }
-
-    /// Jobs that ended in a transient fault: caught panics, admission rejections,
-    /// shed queue entries and queue-expired deadlines. This is the numerator
-    /// circuit breakers (`tagdm-cluster`) watch.
-    ///
-    /// ```
-    /// let mut snap = tagdm_engine::MetricsSnapshot::default();
-    /// snap.jobs_panicked = 2;
-    /// snap.jobs_shed = 1;
-    /// assert_eq!(snap.transient_faults(), 3);
-    /// ```
-    pub fn transient_faults(&self) -> u64 {
-        self.jobs_panicked + self.jobs_rejected + self.jobs_shed + self.jobs_expired
-    }
-
-    /// Transient faults as a fraction of completed jobs (0 when none completed).
-    /// A sustained rate near 1.0 means the engine is answering mostly with
-    /// panics/overload — the trip signal for a per-shard circuit breaker.
-    pub fn fault_rate(&self) -> f64 {
-        if self.jobs_completed == 0 {
-            0.0
-        } else {
-            self.transient_faults() as f64 / self.jobs_completed as f64
-        }
     }
 
     /// Multi-line plain-text report, e.g. for `examples/engine_service.rs`.
@@ -376,23 +238,6 @@ impl MetricsSnapshot {
             self.outcome_hits,
             self.outcome_misses,
             100.0 * self.outcome_hit_ratio()
-        ));
-        out.push_str(&format!(
-            "  matrices  hits={} misses={}\n",
-            self.matrix_hits, self.matrix_misses
-        ));
-        out.push_str(&format!(
-            "  network   conns={}/{} frames={}rx/{}tx errors={} deadline_cuts={}\n",
-            self.net_connections_opened,
-            self.net_connections_closed,
-            self.net_frames_received,
-            self.net_frames_sent,
-            self.net_frame_errors,
-            self.net_deadline_disconnects
-        ));
-        out.push_str(&format!(
-            "  net-faults goaways={} conn_panics={} acceptor_restarts={}\n",
-            self.net_goaways_sent, self.net_conn_panics, self.net_acceptor_restarts
         ));
         out.push_str(&format!("  queue wait    {}\n", self.queue_wait.render()));
         out.push_str(&format!(
@@ -437,16 +282,6 @@ mod tests {
         metrics.record_solve(Duration::from_micros(3), true);
         metrics.record_solve(Duration::from_millis(4), false);
         metrics.record_queue_wait(Duration::from_micros(15));
-        metrics.net_connection_opened();
-        metrics.net_connection_opened();
-        metrics.net_connection_closed();
-        metrics.net_frame_received();
-        metrics.net_frame_sent();
-        metrics.net_frame_error();
-        metrics.net_deadline_disconnect();
-        metrics.net_goaway_sent();
-        metrics.net_conn_panicked();
-        metrics.net_acceptor_restarted();
 
         let snap = metrics.snapshot();
         assert_eq!(snap.jobs_submitted, 2);
@@ -472,17 +307,6 @@ mod tests {
         assert!(report.contains("panics=1"));
         assert!(report.contains("restarts=1"));
         assert!(report.contains("deduped=1"));
-        assert_eq!(snap.net_connections_opened, 2);
-        assert_eq!(snap.net_connections_closed, 1);
-        assert_eq!(snap.net_frames_received, 1);
-        assert_eq!(snap.net_frames_sent, 1);
-        assert_eq!(snap.net_frame_errors, 1);
-        assert_eq!(snap.net_deadline_disconnects, 1);
-        assert_eq!(snap.net_goaways_sent, 1);
-        assert_eq!(snap.net_conn_panics, 1);
-        assert_eq!(snap.net_acceptor_restarts, 1);
-        assert!(report.contains("conns=2/1"));
-        assert!(report.contains("acceptor_restarts=1"));
     }
 
     #[test]

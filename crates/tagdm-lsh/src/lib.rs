@@ -26,12 +26,10 @@
 
 pub mod hyperplane;
 pub mod index;
-pub mod minhash;
 pub mod signature;
 
 pub use hyperplane::{Hyperplane, HyperplaneFamily};
 pub use index::{LshConfig, LshIndex};
-pub use minhash::{MinHashIndex, MinHasher};
 pub use signature::BitSignature;
 
 /// A sparse vector: `(component, weight)` pairs over some dimensionality. Components

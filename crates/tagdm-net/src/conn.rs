@@ -20,6 +20,7 @@ use tagdm_engine::failpoint::{self, site};
 use crate::error::NetError;
 use crate::frame::{write_frame, FrameAssembler, ReadEvent};
 use crate::health::HealthReport;
+use crate::metrics::bump;
 use crate::proto::{AnswerFrame, Frame, GoAwayFrame, PongFrame, SolveFrame, WireError};
 use crate::shutdown::{ConnHandle, ServerShared};
 
@@ -45,12 +46,12 @@ pub(crate) fn spawn_conn(shared: &Arc<ServerShared>, stream: TcpStream, peer: So
                 shared: Arc::clone(&thread_shared),
                 done: thread_done,
             };
-            thread_shared.metrics().net_connection_opened();
+            bump(&thread_shared.metrics.connections_opened);
             run_conn(&thread_shared, stream);
         });
     match spawned {
         Ok(handle) => shared.register_conn(ConnHandle { done, handle }),
-        Err(_) => shared.metrics().net_frame_error(),
+        Err(_) => bump(&shared.metrics.frame_errors),
     }
 }
 
@@ -66,9 +67,9 @@ struct ConnGuard {
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         if thread::panicking() {
-            self.shared.metrics().net_conn_panicked();
+            bump(&self.shared.metrics.conn_panics);
         }
-        self.shared.metrics().net_connection_closed();
+        bump(&self.shared.metrics.connections_closed);
         self.done.store(true, Ordering::Release);
     }
 }
@@ -78,9 +79,9 @@ fn run_conn(shared: &ServerShared, mut stream: TcpStream) {
     match serve_conn(shared, &mut stream) {
         Ok(()) => {}
         Err(error) => {
-            shared.metrics().net_frame_error();
+            bump(&shared.metrics.frame_errors);
             if matches!(error, NetError::DeadlineExceeded(_)) {
-                shared.metrics().net_deadline_disconnect();
+                bump(&shared.metrics.deadline_disconnects);
             }
             let farewell = Frame::Error(WireError {
                 code: error.wire_code(),
@@ -112,7 +113,7 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
     let mut read_deadline = Instant::now() + shared.config.read_timeout;
     loop {
         if shared.is_draining() {
-            shared.metrics().net_goaway_sent();
+            bump(&shared.metrics.goaways_sent);
             let _ = stream.set_write_timeout(Some(FAREWELL_TIMEOUT));
             let _ = write_frame(
                 stream,
@@ -138,7 +139,7 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
             ReadEvent::Tick => continue,
             ReadEvent::Eof => return Ok(()), // Client hung up cleanly.
             ReadEvent::Frame(frame) => {
-                shared.metrics().net_frame_received();
+                bump(&shared.metrics.frames_received);
                 handle_frame(shared, stream, *frame)?;
                 read_deadline = Instant::now() + shared.config.read_timeout;
             }
@@ -173,7 +174,11 @@ fn handle_frame(
         Frame::Health => write_response(
             shared,
             stream,
-            &Frame::HealthReport(HealthReport::gather(&shared.engine, shared.is_draining())),
+            &Frame::HealthReport(HealthReport::gather(
+                &shared.engine,
+                shared.is_draining(),
+                shared.metrics.snapshot().connections_open(),
+            )),
         ),
         // Response kinds arriving at the server are a protocol fault.
         other => Err(NetError::UnknownKind(other.kind())),
@@ -205,7 +210,7 @@ fn write_response(
     stream.set_write_timeout(Some(deadline - now))?;
     match write_frame(stream, frame, shared.config.max_frame_len) {
         Ok(()) => {
-            shared.metrics().net_frame_sent();
+            bump(&shared.metrics.frames_sent);
             Ok(())
         }
         Err(NetError::Io { kind, message })

@@ -22,13 +22,13 @@
 //!   transparently retries [transient](NetError::is_transient) failures on a
 //!   fresh connection, pacing reconnects with the engine's
 //!   [`RetryPolicy`](tagdm_engine::RetryPolicy) backoff.
-//! * **Observability** — the transport owns no registry of its own: connection,
-//!   frame and fault counters fold into the engine's metrics
-//!   ([`Engine::metrics`](tagdm_engine::Engine::metrics) covers the whole
-//!   service), and `HEALTH` probes answer from the same snapshot. With the
-//!   `failpoints` feature, the transport evaluates its named sites
-//!   (`net.accept`, `net.conn`, `net.write_frame`) through the engine's single
-//!   fault-injection registry.
+//! * **Observability** — each server keeps its own connection, frame and fault
+//!   counters ([`Server::metrics`]), next to the engine's job and cache metrics
+//!   ([`Engine::metrics`](tagdm_engine::Engine::metrics)). `HEALTH` probes
+//!   combine the engine's snapshot with the answering server's connection
+//!   gauge. With the `failpoints` feature, the transport evaluates its named
+//!   sites (`net.accept`, `net.conn`, `net.write_frame`) through the engine's
+//!   single fault-injection registry.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -53,6 +53,7 @@ mod conn;
 mod error;
 pub mod frame;
 mod health;
+mod metrics;
 pub mod proto;
 mod server;
 mod shutdown;
@@ -60,4 +61,5 @@ mod shutdown;
 pub use client::{Client, ClientConfig};
 pub use error::NetError;
 pub use health::{HealthReport, HealthStatus};
+pub use metrics::ServerMetrics;
 pub use server::{Server, ServerConfig};

@@ -16,6 +16,7 @@ use tagdm_engine::Engine;
 
 use crate::conn::spawn_conn;
 use crate::error::NetError;
+use crate::metrics::{bump, ServerMetrics};
 use crate::proto::DEFAULT_MAX_FRAME_LEN;
 use crate::shutdown::ServerShared;
 
@@ -120,6 +121,11 @@ impl Server {
         &self.shared.engine
     }
 
+    /// A point-in-time copy of this server's transport counters.
+    pub fn metrics(&self) -> ServerMetrics {
+        self.shared.metrics.snapshot()
+    }
+
     /// Whether a drain has begun.
     pub fn is_draining(&self) -> bool {
         self.shared.is_draining()
@@ -174,7 +180,7 @@ impl Drop for AcceptorGuard {
         {
             return; // Budget exhausted: the server stops accepting for good.
         }
-        self.shared.metrics().net_acceptor_restarted();
+        bump(&self.shared.metrics.acceptor_restarts);
         let _ = spawn_acceptor(&self.shared);
     }
 }

@@ -13,8 +13,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tagdm_engine::{lock_recover, Engine, EngineMetrics};
+use tagdm_engine::{lock_recover, Engine};
 
+use crate::metrics::NetCounters;
 use crate::server::ServerConfig;
 
 /// How long a drain waits for its self-connect acceptor wake-up.
@@ -42,6 +43,8 @@ pub(crate) struct ServerShared {
     conns: Mutex<Vec<ConnHandle>>,
     /// Live acceptor threads (one, plus respawns in flight). Leaf lock, as above.
     acceptors: Mutex<Vec<JoinHandle<()>>>,
+    /// This server's transport counters.
+    pub(crate) metrics: NetCounters,
 }
 
 impl ServerShared {
@@ -60,12 +63,8 @@ impl ServerShared {
             acceptor_budget: AtomicU32::new(config.acceptor_restarts),
             conns: Mutex::new(Vec::new()),
             acceptors: Mutex::new(Vec::new()),
+            metrics: NetCounters::default(),
         }
-    }
-
-    /// The engine's live metrics registry the transport folds its counters into.
-    pub(crate) fn metrics(&self) -> &EngineMetrics {
-        self.engine.metrics_registry()
     }
 
     pub(crate) fn is_draining(&self) -> bool {

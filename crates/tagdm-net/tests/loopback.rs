@@ -114,24 +114,38 @@ fn job_deadlines_are_clamped_to_the_server_cap() {
 }
 
 #[test]
-fn server_metrics_fold_into_the_engine_registry() {
+fn server_metrics_count_connections_and_frames() {
     let (engine, _) = engine_with_corpus(1);
-    let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).expect("bind");
     let mut client = fast_client(&server);
     client.ping("").expect("ping");
     client.ping("").expect("ping");
     drop(client);
     server.drain();
 
-    let metrics = engine.metrics();
-    assert!(metrics.net_connections_opened >= 1);
-    assert_eq!(
-        metrics.net_connections_opened,
-        metrics.net_connections_closed
-    );
-    assert!(metrics.net_frames_received >= 2);
-    assert!(metrics.net_frames_sent >= 2);
+    let metrics = server.metrics();
+    assert!(metrics.connections_opened >= 1);
+    assert_eq!(metrics.connections_opened, metrics.connections_closed);
+    assert!(metrics.frames_received >= 2);
+    assert!(metrics.frames_sent >= 2);
+}
+
+/// Two servers fronting one engine keep separate transport counters: each
+/// `HEALTH_REPORT` counts only the connections of the server that answered it.
+#[test]
+fn servers_sharing_an_engine_count_only_their_own_connections() {
+    let (engine, _) = engine_with_corpus(1);
+    let a =
+        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default()).expect("bind");
+    let b =
+        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default()).expect("bind");
+    let mut on_a = fast_client(&a);
+    on_a.ping("").expect("ping A"); // A's handler is running and counted
+    let mut on_b = fast_client(&b);
+    let report = on_b.health().expect("health from B");
+    assert_eq!(report.connections_open, 1);
+    assert_eq!(b.metrics().connections_open(), 1);
+    assert_eq!(a.metrics().connections_open(), 1);
 }
 
 /// Dropping a `Client` half-closes the socket at a frame boundary, so the
@@ -139,21 +153,17 @@ fn server_metrics_fold_into_the_engine_registry() {
 #[test]
 fn dropping_a_client_disconnects_cleanly() {
     let (engine, _) = engine_with_corpus(1);
-    let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).expect("bind");
     for _ in 0..3 {
         let mut client = fast_client(&server);
         client.ping("about to hang up").expect("ping");
         drop(client); // shutdown(Write) at a frame boundary — nothing mid-frame
     }
     server.drain(); // joins every handler, so every disconnect is accounted for
-    let metrics = engine.metrics();
-    assert_eq!(metrics.net_frame_errors, 0, "drop tore a frame");
-    assert_eq!(
-        metrics.net_connections_opened,
-        metrics.net_connections_closed
-    );
-    assert!(metrics.net_connections_opened >= 3);
+    let metrics = server.metrics();
+    assert_eq!(metrics.frame_errors, 0, "drop tore a frame");
+    assert_eq!(metrics.connections_opened, metrics.connections_closed);
+    assert!(metrics.connections_opened >= 3);
 }
 
 /// Raw-socket tests below drive the protocol edges a well-behaved `Client` never
@@ -303,7 +313,7 @@ fn drain_sends_goaway_to_idle_connections_and_joins() {
         Ok(Frame::GoAway(goaway)) => assert!(goaway.reason.contains("drain")),
         other => panic!("expected a go-away frame, got {other:?}"),
     }
-    assert!(engine.metrics().net_goaways_sent >= 1);
+    assert!(server.metrics().goaways_sent >= 1);
 
     // Draining twice is a no-op, and the client's typed error is transient (a
     // reconnect-elsewhere is sensible).

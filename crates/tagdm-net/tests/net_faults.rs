@@ -101,7 +101,7 @@ fn slow_reader_is_cut_at_the_write_deadline_without_stalling_others() {
     let _serial = serial();
     let (engine, spec) = engine_with_corpus(2);
     let config = ServerConfig::default().with_write_timeout(Duration::from_millis(100));
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), config).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, config).expect("bind");
 
     // The victim sends a solve and never reads its answer. A one-shot delay at the
     // write site deterministically consumes the whole write budget, modelling the
@@ -137,7 +137,7 @@ fn slow_reader_is_cut_at_the_write_deadline_without_stalling_others() {
     // The victim is disconnected at the write deadline, counted as such.
     assert!(
         wait_for(Duration::from_secs(10), || {
-            engine.metrics().net_deadline_disconnects >= 1
+            server.metrics().deadline_disconnects >= 1
         }),
         "the slow reader was never cut at its write deadline"
     );
@@ -154,8 +154,8 @@ fn slow_reader_is_cut_at_the_write_deadline_without_stalling_others() {
 
     server.drain();
     assert_eq!(
-        engine.metrics().net_connections_opened,
-        engine.metrics().net_connections_closed
+        server.metrics().connections_opened,
+        server.metrics().connections_closed
     );
 }
 
@@ -207,8 +207,8 @@ fn mid_job_disconnect_leaves_the_engine_healthy() {
 
     server.drain();
     assert_eq!(
-        engine.metrics().net_connections_opened,
-        engine.metrics().net_connections_closed
+        server.metrics().connections_opened,
+        server.metrics().connections_closed
     );
 }
 
@@ -218,8 +218,7 @@ fn mid_job_disconnect_leaves_the_engine_healthy() {
 fn connection_panics_are_isolated() {
     let _serial = serial();
     let (engine, _spec) = engine_with_corpus(1);
-    let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).expect("bind");
 
     // Open the survivor FIRST so its handler is already past spawn; the next
     // connection iteration to evaluate the site panics once.
@@ -234,7 +233,7 @@ fn connection_panics_are_isolated() {
     let _doomed = TcpStream::connect(server.local_addr()).expect("connect doomed");
     assert!(
         wait_for(Duration::from_secs(10), || {
-            engine.metrics().net_conn_panics >= 1
+            server.metrics().conn_panics >= 1
         }),
         "the injected connection panic never fired"
     );
@@ -245,22 +244,19 @@ fn connection_panics_are_isolated() {
     fresh.ping("fresh").expect("fresh after panic");
 
     server.drain();
-    let metrics = engine.metrics();
-    assert_eq!(metrics.net_conn_panics, 1);
-    assert_eq!(
-        metrics.net_connections_opened,
-        metrics.net_connections_closed
-    );
+    let metrics = server.metrics();
+    assert_eq!(metrics.conn_panics, 1);
+    assert_eq!(metrics.connections_opened, metrics.connections_closed);
 }
 
 /// A panicking acceptor thread is respawned (within its restart budget) and the
-/// server keeps accepting; the respawn is counted in the engine's metrics.
+/// server keeps accepting; the respawn is counted in the server's metrics.
 #[test]
 fn acceptor_panics_are_respawned_within_budget() {
     let _serial = serial();
     let (engine, _spec) = engine_with_corpus(1);
     let config = ServerConfig::default().with_acceptor_restarts(4);
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), config).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, config).expect("bind");
 
     failpoint::arm_times(
         site::NET_ACCEPT,
@@ -275,7 +271,7 @@ fn acceptor_panics_are_respawned_within_budget() {
     }
     assert!(
         wait_for(Duration::from_secs(10), || {
-            engine.metrics().net_acceptor_restarts >= 2
+            server.metrics().acceptor_restarts >= 2
         }),
         "the acceptor was never respawned"
     );
@@ -284,7 +280,7 @@ fn acceptor_panics_are_respawned_within_budget() {
     let mut client = no_retry_client(&server);
     client.ping("after respawn").expect("ping after respawn");
     server.drain();
-    assert_eq!(engine.metrics().net_acceptor_restarts, 2);
+    assert_eq!(server.metrics().acceptor_restarts, 2);
 }
 
 /// The transport's error taxonomy stays truthful under injected faults: an

@@ -114,6 +114,20 @@ fn main() {
     server.drain();
     println!("server drained (draining={})", server.is_draining());
 
-    // --- 5. One metrics snapshot covers engine *and* transport ----------------------
+    // --- 5. Engine metrics, then this server's own transport counters --------------
     println!("\n{}", engine.metrics().render());
+    let net = server.metrics();
+    println!(
+        "server metrics\n  conns={}/{} frames={}rx/{}tx errors={} deadline_cuts={}\n  \
+         goaways={} conn_panics={} acceptor_restarts={}",
+        net.connections_opened,
+        net.connections_closed,
+        net.frames_received,
+        net.frames_sent,
+        net.frame_errors,
+        net.deadline_disconnects,
+        net.goaways_sent,
+        net.conn_panics,
+        net.acceptor_restarts
+    );
 }
