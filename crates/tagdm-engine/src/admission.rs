@@ -14,6 +14,7 @@
 //! through these locks).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -64,6 +65,8 @@ pub(crate) struct JobQueue {
     inner: Mutex<Inner>,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Jobs parked on an in-flight context build: out of the queue but still waiting.
+    parked: AtomicUsize,
 }
 
 impl JobQueue {
@@ -77,12 +80,21 @@ impl JobQueue {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            parked: AtomicUsize::new(0),
         }
     }
 
-    /// Jobs queued right now — the saturation gauge health reports expose.
+    /// Jobs waiting for a worker right now, queued or parked on a context build — the
+    /// saturation gauge health reports expose.
     pub(crate) fn depth(&self) -> usize {
-        self.inner().queue.len()
+        let inner = self.inner();
+        inner.queue.len() + self.parked.load(Ordering::SeqCst)
+    }
+
+    /// Count a job parked on an in-flight context build; [`requeue`](Self::requeue)
+    /// uncounts it.
+    pub(crate) fn note_parked(&self) {
+        self.parked.fetch_add(1, Ordering::SeqCst);
     }
 
     fn inner(&self) -> MutexGuard<'_, Inner> {
@@ -199,6 +211,23 @@ impl JobQueue {
         }
     }
 
+    /// Put jobs parked on a finished context build back at the head of the queue, in
+    /// the order they parked. They were admitted already, so they skip the capacity
+    /// check and are accepted even after [`close`](Self::close): a closing queue is
+    /// still drained before the workers exit.
+    pub(crate) fn requeue(&self, jobs: Vec<Job>) {
+        if jobs.is_empty() {
+            return;
+        }
+        let mut inner = self.inner();
+        self.parked.fetch_sub(jobs.len(), Ordering::SeqCst);
+        for job in jobs.into_iter().rev() {
+            inner.queue.push_front(job);
+        }
+        drop(inner);
+        self.not_empty.notify_all();
+    }
+
     /// Close the queue: rejects new submissions, lets workers drain what is queued and
     /// then exit, and wakes every blocked submitter.
     pub(crate) fn close(&self) {
@@ -211,6 +240,50 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobId, SolveRequest, SolverChoice};
+    use crate::spec::ContextSpec;
+    use std::sync::mpsc::channel;
+    use tagdm_core::catalog::{problem_1, ProblemParams};
+
+    fn job(id: u64) -> Job {
+        let request = SolveRequest::new(
+            ContextSpec::installed("ctx"),
+            problem_1(ProblemParams::default()),
+            SolverChoice::Recommended,
+        );
+        Job {
+            id: JobId(id),
+            request,
+            submitted: Instant::now(),
+            reply: channel().0,
+            built: None,
+        }
+    }
+
+    #[test]
+    fn parked_jobs_count_in_the_depth_until_requeued_at_the_head() {
+        let queue = JobQueue::new(2, AdmissionPolicy::Reject);
+        let metrics = EngineMetrics::default();
+        for id in 0..2 {
+            assert!(queue.push(job(id), &metrics).is_ok());
+        }
+        // Two jobs leave the queue and park on a build: still waiting, still counted.
+        let parked: Vec<Job> = (0..2).map(|_| queue.pop().expect("queued")).collect();
+        queue.note_parked();
+        queue.note_parked();
+        assert_eq!(queue.depth(), 2);
+        assert!(queue.push(job(2), &metrics).is_ok());
+        assert_eq!(queue.depth(), 3);
+
+        // Requeued jobs skip the capacity check (the queue is at 1 of 2 plus 2 parked),
+        // go ahead of queued work in park order, and are accepted after close.
+        queue.close();
+        queue.requeue(parked);
+        assert_eq!(queue.depth(), 3);
+        let order: Vec<u64> = std::iter::from_fn(|| queue.pop()).map(|j| j.id.0).collect();
+        assert_eq!(order, vec![0, 1, 2]);
+        assert_eq!(queue.depth(), 0);
+    }
 
     #[test]
     fn admission_policies_round_trip_through_serde() {

@@ -137,9 +137,10 @@ impl Engine {
         self.executor.live_workers()
     }
 
-    /// Jobs sitting in the admission queue right now. A persistently non-zero
-    /// depth means submissions outpace the worker pool — the saturation gauge
-    /// health reports and circuit breakers watch.
+    /// Jobs waiting for a worker right now: queued, or parked on a context build
+    /// another worker is running. A persistently non-zero depth means submissions
+    /// outpace the worker pool — the saturation gauge health reports and circuit
+    /// breakers watch.
     pub fn queue_depth(&self) -> usize {
         self.executor.queue_depth()
     }
@@ -174,7 +175,7 @@ impl Engine {
 
     /// Resolve (building and caching if needed) the context a spec denotes.
     pub fn context(&self, spec: &ContextSpec) -> Result<Arc<MiningContext>, EngineError> {
-        self.state.resolve_context(spec).map(|(context, _)| context)
+        self.state.resolve_context(spec, self.executor.queue())
     }
 
     /// Enqueue a request on the worker pool; the ticket resolves to the response.
@@ -192,6 +193,7 @@ impl Engine {
             request,
             submitted: Instant::now(),
             reply,
+            built: None,
         };
         if let Err(refused) = self.executor.submit(job) {
             let (job, error) = *refused;

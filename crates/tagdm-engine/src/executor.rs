@@ -15,6 +15,10 @@
 //!   guard reports the death to the [supervisor](crate::supervisor), which respawns a
 //!   replacement within its restart budget.
 //!
+//! A job whose context is being built by another worker does not block its worker: it
+//! is parked on the build (see [`state`](crate::state)) and requeued when the build
+//! publishes, so concurrent cold builds run in parallel across the pool.
+//!
 //! Shutdown is queue-driven: closing the queue lets workers drain what is queued and
 //! exit, then [`JobExecutor::drop`] stops the supervisor and joins every thread.
 
@@ -32,7 +36,7 @@ use crate::error::EngineError;
 use crate::failpoint;
 use crate::job::{CacheReport, JobId, SolveRequest, SolveResponse};
 use crate::metrics::EngineMetrics;
-use crate::state::{lock_recover, EngineState};
+use crate::state::{lock_recover, BuildResult, EngineState, Lookup};
 use crate::supervisor::{supervise, SupervisorConfig, WorkerEvent};
 
 pub(crate) struct Job {
@@ -40,6 +44,8 @@ pub(crate) struct Job {
     pub(crate) request: SolveRequest,
     pub(crate) submitted: Instant,
     pub(crate) reply: Sender<SolveResponse>,
+    /// The result of the context build this job was parked on, once it published.
+    pub(crate) built: Option<BuildResult>,
 }
 
 impl Job {
@@ -165,7 +171,12 @@ impl JobExecutor {
         self.target_workers
     }
 
-    /// Jobs sitting in the admission queue right now.
+    /// The admission queue, for builds run outside the pool to requeue parked jobs.
+    pub(crate) fn queue(&self) -> &JobQueue {
+        &self.queue
+    }
+
+    /// Jobs waiting for a worker right now, queued or parked on a context build.
     pub(crate) fn queue_depth(&self) -> usize {
         self.queue.depth()
     }
@@ -241,29 +252,22 @@ fn worker_loop(queue: &JobQueue, state: &EngineState) {
         let Some(job) = queue.pop() else {
             return; // queue closed and drained: shutdown
         };
-        execute(state, job);
+        execute(state, queue, job);
     }
 }
 
-/// Run one job inside the panic-isolation boundary, guaranteeing exactly one reply.
-fn execute(state: &EngineState, job: Job) {
-    let Job {
-        id,
-        request,
-        submitted,
-        reply,
-    } = job;
-    let queue_wait = submitted.elapsed();
-    state.metrics.record_queue_wait(queue_wait);
+/// Run one job inside the panic-isolation boundary, guaranteeing exactly one reply —
+/// from here, or from a later run once a job parked on a context build is requeued.
+fn execute(state: &EngineState, queue: &JobQueue, job: Job) {
     let responder = Responder {
-        id,
-        reply,
-        submitted,
-        queue_wait,
+        id: job.id,
+        reply: job.reply.clone(),
+        submitted: job.submitted,
+        queue_wait: job.submitted.elapsed(),
         sent: AtomicBool::new(false),
     };
     let unwound = catch_unwind(AssertUnwindSafe(|| {
-        run_job(state, &request, submitted, &responder);
+        run_job(state, queue, job, &responder);
     }));
     if let Err(payload) = unwound {
         state.metrics.job_panicked();
@@ -281,7 +285,8 @@ fn execute(state: &EngineState, job: Job) {
 }
 
 /// A reply channel that sends at most once (the panic path may race a response the
-/// job already sent).
+/// job already sent). Its send records the job's one queue-wait sample: the time from
+/// submission to the run that answers it, parked time included.
 struct Responder {
     id: JobId,
     reply: Sender<SolveResponse>,
@@ -301,6 +306,7 @@ impl Responder {
         if self.sent.swap(true, Ordering::SeqCst) {
             return;
         }
+        state.metrics.record_queue_wait(self.queue_wait);
         state.metrics.job_completed();
         // A dropped ticket just means nobody is waiting for this answer.
         let _ = self.reply.send(SolveResponse {
@@ -311,6 +317,11 @@ impl Responder {
             queue_wait: self.queue_wait,
             total: self.submitted.elapsed(),
         });
+    }
+
+    /// The job was parked on a context build and will be answered by a later run.
+    fn hand_off(&self) {
+        self.sent.store(true, Ordering::SeqCst);
     }
 }
 
@@ -325,9 +336,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, reply: &Responder) {
+fn run_job(state: &EngineState, queue: &JobQueue, mut job: Job, reply: &Responder) {
     let started = Instant::now();
-    let deadline = request.deadline.map(|d| submitted + d);
+    let deadline = job.deadline_instant();
 
     // Inside the boundary: an injected panic here is caught and answered.
     if let Err(error) = failpoint::check(failpoint::site::RUN_JOB) {
@@ -349,7 +360,7 @@ fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, repl
         return;
     }
 
-    if let Err(message) = request.problem.validate() {
+    if let Err(message) = job.request.problem.validate() {
         reply.send(
             state,
             Err(EngineError::InvalidProblem(message)),
@@ -359,13 +370,38 @@ fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, repl
         return;
     }
 
-    let (context, context_hit) = match state.resolve_context(&request.context) {
+    // Runs at most twice: a job whose build published while it was parking comes
+    // back carrying the result, like a requeued one.
+    let resolved = loop {
+        if let Some(built) = job.built.take() {
+            break built.map(|context| (context, false));
+        }
+        match state.lookup_context(&job.request.context, queue) {
+            Err(error) => break Err(error),
+            Ok(Lookup::Hit(context)) => break Ok((context, true)),
+            Ok(Lookup::Claimed(claim)) => {
+                break claim
+                    .build(&job.request.context)
+                    .map(|context| (context, false))
+            }
+            Ok(Lookup::InFlight(slot)) => match slot.park(job, queue) {
+                Some(published) => job = published,
+                None => {
+                    // The builder requeues the job with its result when it publishes.
+                    reply.hand_off();
+                    return;
+                }
+            },
+        }
+    };
+    let (context, context_hit) = match resolved {
         Ok(resolved) => resolved,
         Err(error) => {
             reply.send(state, Err(error), CacheReport::default(), false);
             return;
         }
     };
+    let request = &job.request;
 
     let key = EngineState::outcome_key(&request.context.key(), &request.solver, &request.problem);
     if let Err(error) = failpoint::check(failpoint::site::OUTCOME_LOOKUP) {

@@ -66,7 +66,7 @@ mod enabled {
         /// Surface the given error from the site.
         Error(EngineError),
         /// Sleep, then surface the error — lets a "slow build that fails" be modelled
-        /// so concurrent waiters have time to pile up on the in-flight registry.
+        /// so concurrent misses have time to join the in-flight build.
         DelayedError(Duration, EngineError),
     }
 

@@ -4,10 +4,13 @@
 //! handle and every worker thread. Locks are held only for lookups and insertions —
 //! never across a context build or a solve — so workers serialize on the caches for
 //! microseconds at a time. Workers racing on the same missing context are deduplicated
-//! through an in-flight build registry: the first miss claims the build, concurrent
-//! misses block on its result (counted as `context_builds_deduped` in the metrics), and
-//! a failed or panicked build wakes every waiter with the error instead of leaving them
-//! hanging.
+//! through an in-flight build registry: the first miss claims the build, and concurrent
+//! misses join it (counted as `context_builds_deduped` in the metrics). A pool job that
+//! joins is parked on the build and its worker goes back to the queue; when the build
+//! publishes, the parked jobs are requeued at the head of the queue carrying the result.
+//! Only [`Engine::context`](crate::Engine::context), which runs on the caller's thread,
+//! blocks on the result. A failed or panicked build answers every joined job and waiter
+//! with the error instead of leaving them hanging.
 
 use std::collections::HashMap;
 use std::sync::{
@@ -21,8 +24,10 @@ use tagdm_core::solvers::SolverOutcome;
 use tagdm_data::dataset::Dataset;
 use tagdm_data::group::GroupingScheme;
 
+use crate::admission::JobQueue;
 use crate::cache::LruCache;
 use crate::error::EngineError;
+use crate::executor::Job;
 use crate::failpoint;
 use crate::job::SolverChoice;
 use crate::metrics::EngineMetrics;
@@ -57,19 +62,25 @@ pub fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// the problem and the solver choice.
 pub(crate) type OutcomeKey = (ContextKey, String);
 
-type BuildResult = Result<Arc<MiningContext>, EngineError>;
+pub(crate) type BuildResult = Result<Arc<MiningContext>, EngineError>;
 
-/// One in-flight context build: the builder fills `result` and notifies; waiters block
-/// on the condvar until it is filled.
-struct InFlightBuild {
-    result: Mutex<Option<BuildResult>>,
+/// One in-flight context build: the builder fills `result`, wakes the callers blocked
+/// on the condvar and takes back the jobs parked on it.
+pub(crate) struct InFlightBuild {
+    result: Mutex<BuildSlot>,
     done: Condvar,
+}
+
+#[derive(Default)]
+struct BuildSlot {
+    built: Option<BuildResult>,
+    parked: Vec<Job>,
 }
 
 impl InFlightBuild {
     fn new() -> Self {
         InFlightBuild {
-            result: Mutex::new(None),
+            result: Mutex::new(BuildSlot::default()),
             done: Condvar::new(),
         }
     }
@@ -77,17 +88,54 @@ impl InFlightBuild {
     fn wait(&self) -> BuildResult {
         let mut slot = lock_recover(&self.result);
         loop {
-            match slot.as_ref() {
+            match slot.built.as_ref() {
                 Some(result) => return result.clone(),
                 None => slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner),
             }
         }
     }
 
-    fn fill(&self, result: BuildResult) {
-        *lock_recover(&self.result) = Some(result);
-        self.done.notify_all();
+    /// Park `job` until the build publishes; `queue` counts it in its depth meanwhile.
+    /// If the build has already published, the job comes straight back carrying the
+    /// result in `Job::built`.
+    pub(crate) fn park(&self, mut job: Job, queue: &JobQueue) -> Option<Job> {
+        let mut slot = lock_recover(&self.result);
+        match &slot.built {
+            Some(result) => {
+                job.built = Some(result.clone());
+                Some(job)
+            }
+            None => {
+                queue.note_parked();
+                slot.parked.push(job);
+                None
+            }
+        }
     }
+
+    /// Publish the result: wake blocked callers and return the parked jobs, each
+    /// carrying the result, for the caller to requeue once it holds no lock.
+    fn fill(&self, result: BuildResult) -> Vec<Job> {
+        let mut slot = lock_recover(&self.result);
+        let mut parked = std::mem::take(&mut slot.parked);
+        for job in &mut parked {
+            job.built = Some(result.clone());
+        }
+        slot.built = Some(result);
+        drop(slot);
+        self.done.notify_all();
+        parked
+    }
+}
+
+/// Where a context lookup found the context.
+pub(crate) enum Lookup<'a> {
+    /// A cached or installed context.
+    Hit(Arc<MiningContext>),
+    /// Nobody is building it: the caller holds the claim and must run the build.
+    Claimed(BuildClaim<'a>),
+    /// Another caller is building it; join that build instead of duplicating it.
+    InFlight(Arc<InFlightBuild>),
 }
 
 pub(crate) struct EngineState {
@@ -95,7 +143,7 @@ pub(crate) struct EngineState {
     /// Pre-built contexts pinned under explicit names (never LRU-evicted).
     installed: RwLock<HashMap<String, Arc<MiningContext>>>,
     contexts: Mutex<LruCache<ContextKey, Arc<MiningContext>>>,
-    /// Context builds currently running, for racing misses to wait on instead of
+    /// Context builds currently running, for racing misses to join instead of
     /// duplicating the work.
     building: Mutex<HashMap<ContextKey, Arc<InFlightBuild>>>,
     outcomes: Mutex<LruCache<OutcomeKey, SolverOutcome>>,
@@ -140,61 +188,54 @@ impl EngineState {
         context
     }
 
-    /// Resolve a context spec to a (possibly cached) context. Returns the context and
-    /// whether it was a cache hit; records hit/miss and build-time metrics.
-    pub(crate) fn resolve_context(
-        &self,
-        spec: &ContextSpec,
-    ) -> Result<(Arc<MiningContext>, bool), EngineError> {
-        match spec {
-            ContextSpec::Installed { name } => {
-                let context = read_recover(&self.installed)
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| EngineError::UnknownContext(name.clone()))?;
-                self.metrics.context_lookup(true);
-                Ok((context, true))
-            }
-            ContextSpec::Grouped { .. } => {
-                let key = spec.key();
-                if let Some(context) = lock_recover(&self.contexts).get(&key) {
-                    self.metrics.context_lookup(true);
-                    return Ok((context, true));
-                }
-                // Miss: claim the build, or join one already in flight.
-                let (slot, is_builder) = {
-                    let mut building = lock_recover(&self.building);
-                    match building.get(&key) {
-                        Some(slot) => (Arc::clone(slot), false),
-                        None => {
-                            let slot = Arc::new(InFlightBuild::new());
-                            building.insert(key.clone(), Arc::clone(&slot));
-                            (slot, true)
-                        }
-                    }
-                };
-                if !is_builder {
-                    self.metrics.context_build_deduped();
-                    self.metrics.context_lookup(false);
-                    return slot.wait().map(|context| (context, false));
-                }
-                // Publish on every exit — including an unwind (e.g. a panicking
-                // summarizer): the guard's Drop wakes waiters with an error rather
-                // than leaving them blocked forever.
-                let guard = BuildClaim {
-                    state: self,
-                    key: Some(key.clone()),
-                    slot: &slot,
-                };
-                let built = self.build_context(spec);
-                guard.publish(built.clone());
-                if let Ok(context) = &built {
-                    self.metrics.context_lookup(false);
-                    lock_recover(&self.contexts).insert(key, Arc::clone(context));
-                }
-                built.map(|context| (context, false))
-            }
+    /// Resolve a context spec on the caller's thread, building it (and requeueing any
+    /// pool jobs parked on that build to `queue`) or blocking on a build in flight.
+    pub(crate) fn resolve_context(&self, spec: &ContextSpec, queue: &JobQueue) -> BuildResult {
+        match self.lookup_context(spec, queue)? {
+            Lookup::Hit(context) => Ok(context),
+            Lookup::Claimed(claim) => claim.build(spec),
+            Lookup::InFlight(slot) => slot.wait(),
         }
+    }
+
+    /// Look a context spec up without building it; records hit/miss and dedup metrics.
+    /// A claimed build requeues the jobs parked on it to `queue` when it publishes.
+    pub(crate) fn lookup_context<'a>(
+        &'a self,
+        spec: &ContextSpec,
+        queue: &'a JobQueue,
+    ) -> Result<Lookup<'a>, EngineError> {
+        if let ContextSpec::Installed { name } = spec {
+            let context = read_recover(&self.installed)
+                .get(name)
+                .cloned()
+                .ok_or_else(|| EngineError::UnknownContext(name.clone()))?;
+            self.metrics.context_lookup(true);
+            return Ok(Lookup::Hit(context));
+        }
+        let key = spec.key();
+        // The cache is checked under the registry lock, and a builder publishes into
+        // the cache before it deregisters, so a build that finished is always found
+        // in one or the other: a miss never starts a second build.
+        let mut building = lock_recover(&self.building);
+        if let Some(context) = lock_recover(&self.contexts).get(&key) {
+            self.metrics.context_lookup(true);
+            return Ok(Lookup::Hit(context));
+        }
+        // Miss: join the build in flight, or claim a new one.
+        if let Some(slot) = building.get(&key) {
+            self.metrics.context_build_deduped();
+            self.metrics.context_lookup(false);
+            return Ok(Lookup::InFlight(Arc::clone(slot)));
+        }
+        let slot = Arc::new(InFlightBuild::new());
+        building.insert(key.clone(), Arc::clone(&slot));
+        Ok(Lookup::Claimed(BuildClaim {
+            state: self,
+            queue,
+            key: Some(key),
+            slot,
+        }))
     }
 
     /// Run one grouped-context build (the caller holds the in-flight claim).
@@ -226,12 +267,6 @@ impl EngineState {
         Ok(context)
     }
 
-    /// Deregister an in-flight build claim, filling its slot so waiters wake.
-    fn release_build_claim(&self, key: &ContextKey, slot: &InFlightBuild, result: BuildResult) {
-        slot.fill(result);
-        lock_recover(&self.building).remove(key);
-    }
-
     /// The outcome-cache key for a request triple.
     pub(crate) fn outcome_key(
         context_key: &ContextKey,
@@ -258,34 +293,45 @@ impl EngineState {
     }
 }
 
-/// The builder's claim on an in-flight context build. Normal exits publish the build
-/// result explicitly; if the build unwinds instead (a panicking summarizer, an
+/// The builder's claim on an in-flight context build. [`build`](Self::build) publishes
+/// the result explicitly; if the build unwinds instead (a panicking summarizer, an
 /// injected `state.context_build` panic), `Drop` publishes a `WorkerPanicked` error so
-/// deduplicated waiters wake with a failure instead of blocking forever.
-struct BuildClaim<'a> {
+/// joined jobs and waiters get a failure instead of hanging.
+pub(crate) struct BuildClaim<'a> {
     state: &'a EngineState,
+    queue: &'a JobQueue,
     key: Option<ContextKey>,
-    slot: &'a InFlightBuild,
+    slot: Arc<InFlightBuild>,
 }
 
 impl BuildClaim<'_> {
-    fn publish(mut self, result: BuildResult) {
+    /// Run the claimed build and publish it: into the context cache first, then to
+    /// everyone who joined it.
+    pub(crate) fn build(mut self, spec: &ContextSpec) -> BuildResult {
+        let built = self.state.build_context(spec);
+        if let (Ok(context), Some(key)) = (&built, &self.key) {
+            self.state.metrics.context_lookup(false);
+            lock_recover(&self.state.contexts).insert(key.clone(), Arc::clone(context));
+        }
+        self.release(built.clone());
+        built
+    }
+
+    /// Fill the slot, deregister the claim, then requeue the parked jobs with no lock
+    /// held.
+    fn release(&mut self, result: BuildResult) {
         if let Some(key) = self.key.take() {
-            self.state.release_build_claim(&key, self.slot, result);
+            let parked = self.slot.fill(result);
+            lock_recover(&self.state.building).remove(&key);
+            self.queue.requeue(parked);
         }
     }
 }
 
 impl Drop for BuildClaim<'_> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            self.state.release_build_claim(
-                &key,
-                self.slot,
-                Err(EngineError::WorkerPanicked {
-                    payload: "context build panicked".to_string(),
-                }),
-            );
-        }
+        self.release(Err(EngineError::WorkerPanicked {
+            payload: "context build panicked".to_string(),
+        }));
     }
 }

@@ -1,6 +1,6 @@
 //! Fault-injection tests of the engine's robustness layer: panic isolation, worker
-//! supervision, bounded admission with load shedding, retry, and context-build
-//! deduplication. Run with `cargo test -p tagdm-engine --features failpoints`.
+//! supervision, bounded admission with load shedding, retry, context-build
+//! deduplication and jobs parked on an in-flight build. Run with `cargo test -p tagdm-engine --features failpoints`.
 //!
 //! The failpoint registry is process-global, so every test here serializes itself
 //! through [`serial`] and disarms all sites on entry and exit.
@@ -493,6 +493,159 @@ fn panicking_build_wakes_waiters_instead_of_stranding_them() {
     }
     // The registry entry is gone; the engine recovers.
     assert!(engine.solve(request(&spec)).result.is_ok());
+}
+
+// --- Parking on an in-flight build ----------------------------------------------------
+
+#[test]
+fn racing_misses_on_a_fresh_key_build_it_exactly_once() {
+    let _serial = serial();
+    let dataset = MovieLensStyleGenerator::new(GeneratorConfig::small()).generate();
+    failpoint::arm(
+        site::CONTEXT_BUILD,
+        FailAction::Delay(Duration::from_millis(2)),
+    );
+    for round in 0..50 {
+        let engine = Engine::new(EngineConfig::default().with_workers(4));
+        engine.register_dataset("ml-small", dataset.clone());
+        let spec = ContextSpec::grouped(
+            "ml-small",
+            &GROUPING,
+            5,
+            SummarizerChoice::FrequencyNormalized,
+        );
+        for response in engine.solve_batch(vec![request(&spec); 4]) {
+            assert!(response.result.is_ok());
+        }
+        assert_eq!(
+            engine.metrics().context_build.count,
+            1,
+            "round {round}: a miss racing the build's publication started a second build"
+        );
+    }
+}
+
+#[test]
+fn jobs_joining_a_build_park_so_cold_builds_run_concurrently() {
+    let _serial = serial();
+    let (engine, spec_a) = engine_with_corpus(EngineConfig::default().with_workers(2));
+    let spec_b = ContextSpec::grouped("ml-small", &GROUPING, 5, SummarizerChoice::Frequency);
+    failpoint::arm(
+        site::CONTEXT_BUILD,
+        FailAction::Delay(Duration::from_millis(300)),
+    );
+
+    // Two sessions, each a batch on its own cold context. A worker that picks up a job
+    // for a context already being built must park it and build the other context,
+    // not sleep through the first build.
+    let started = Instant::now();
+    let batches = std::thread::scope(|scope| {
+        let a = scope.spawn(|| engine.solve_batch(vec![request(&spec_a); 3]));
+        let b = scope.spawn(|| engine.solve_batch(vec![request(&spec_b); 3]));
+        [
+            a.join().expect("session a answers"),
+            b.join().expect("session b answers"),
+        ]
+    });
+    let elapsed = started.elapsed();
+    for response in batches.iter().flatten() {
+        assert!(response.result.is_ok(), "{:?}", response.result);
+    }
+    assert!(
+        elapsed < Duration::from_millis(450),
+        "two 300ms builds on two workers must overlap, took {elapsed:?}"
+    );
+    let metrics = engine.metrics();
+    assert_eq!(metrics.context_build.count, 2);
+    assert_eq!(metrics.queue_wait.count, 6, "one queue-wait sample per job");
+    assert_eq!(engine.queue_depth(), 0);
+}
+
+#[test]
+fn dropping_the_engine_answers_jobs_parked_on_a_build() {
+    let _serial = serial();
+    let (engine, spec) = engine_with_corpus(EngineConfig::default().with_workers(2));
+    failpoint::arm(
+        site::CONTEXT_BUILD,
+        FailAction::Delay(Duration::from_millis(300)),
+    );
+    let tickets: Vec<_> = (0..3).map(|_| engine.submit(request(&spec))).collect();
+
+    // One worker builds; the other parks both followers. Parked jobs count as queued.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while engine.metrics().context_builds_deduped < 2 || engine.queue_depth() != 2 {
+        assert!(
+            Instant::now() < deadline,
+            "followers never parked (deduped: {}, depth: {})",
+            engine.metrics().context_builds_deduped,
+            engine.queue_depth()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let dropper = std::thread::spawn(move || drop(engine));
+    for ticket in tickets {
+        let response = ticket
+            .wait_timeout(Duration::from_secs(10))
+            .expect("no parked job may be stranded by shutdown");
+        assert!(
+            matches!(response.result, Ok(_) | Err(EngineError::Shutdown)),
+            "got {:?}",
+            response.result
+        );
+    }
+    dropper.join().expect("the engine drops cleanly");
+}
+
+#[test]
+fn a_deadline_that_fires_while_parked_expires_the_job_in_queue() {
+    let _serial = serial();
+    let (engine, spec) = engine_with_corpus(EngineConfig::default().with_workers(2));
+    failpoint::arm(
+        site::CONTEXT_BUILD,
+        FailAction::Delay(Duration::from_millis(300)),
+    );
+    let builder = engine.submit(request(&spec));
+    // Submit the deadline job only once the first job has claimed the build, so it is
+    // the one that parks (were it to claim the build itself, it would run the build
+    // and then a cancelled solve).
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while failpoint::hits(site::CONTEXT_BUILD) == 0 {
+        assert!(Instant::now() < deadline, "the build never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let parked = engine.submit(request(&spec).with_deadline(Duration::from_millis(100)));
+
+    let response = parked
+        .wait_timeout(Duration::from_secs(10))
+        .expect("the parked job is answered");
+    assert!(
+        matches!(
+            response.result,
+            Err(EngineError::DeadlineExpiredInQueue { .. })
+        ),
+        "got {:?}",
+        response.result
+    );
+    assert!(response.deadline_hit);
+    assert!(
+        response.queue_wait >= Duration::from_millis(100),
+        "parked time counts as queue wait, got {:?}",
+        response.queue_wait
+    );
+    assert!(builder
+        .wait_timeout(Duration::from_secs(10))
+        .expect("the builder's job is answered")
+        .result
+        .is_ok());
+
+    let metrics = engine.metrics();
+    assert_eq!(
+        metrics.context_builds_deduped, 1,
+        "the job parked instead of expiring at its first pop"
+    );
+    assert_eq!(metrics.jobs_expired, 1);
+    assert_eq!(metrics.jobs_submitted, metrics.jobs_completed);
 }
 
 // --- Outcome-lookup fault injection ---------------------------------------------------
