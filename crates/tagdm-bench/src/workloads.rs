@@ -1,5 +1,5 @@
 //! Experiment workloads: datasets, group enumerations and mining contexts shared by the
-//! figure binaries, the integration tests and the Criterion benches.
+//! figure binaries and the unit tests.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +13,7 @@ use tagdm_data::group::{GroupingScheme, TaggingActionGroup};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExperimentScale {
     /// A few hundred groups; every experiment (including Exact) finishes in seconds.
-    /// Used by the integration tests and the default Criterion benches.
+    /// Used by the unit tests.
     Small,
     /// Around a thousand candidate groups — large enough that the Exact baseline is
     /// visibly slower than the heuristics while still finishing; the default for the
@@ -28,11 +28,13 @@ pub enum ExperimentScale {
 impl ExperimentScale {
     /// Parse from the `TAGDM_SCALE` environment variable (default: medium).
     pub fn from_env() -> Self {
-        match std::env::var("TAGDM_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
+        ExperimentScale::parse(&std::env::var("TAGDM_SCALE").unwrap_or_default())
+    }
+
+    /// Parse a scale name, ignoring case: `small`, `paper` (or `full`), and medium for
+    /// anything else, including the empty string.
+    pub fn parse(name: &str) -> Self {
+        match name.to_lowercase().as_str() {
             "small" => ExperimentScale::Small,
             "paper" | "full" => ExperimentScale::Paper,
             _ => ExperimentScale::Medium,
@@ -153,7 +155,7 @@ impl Workload {
 }
 
 /// Enumerate candidate groups and build the mining context for a dataset at a scale.
-pub fn build_context(dataset: &Dataset, scale: ExperimentScale) -> MiningContext {
+fn build_context(dataset: &Dataset, scale: ExperimentScale) -> MiningContext {
     let groups = enumerate_groups(dataset, scale);
     MiningContext::build(
         dataset,
@@ -175,7 +177,7 @@ pub fn build_context(dataset: &Dataset, scale: ExperimentScale) -> MiningContext
 }
 
 /// Enumerate the candidate describable groups for a dataset at a scale.
-pub fn enumerate_groups(dataset: &Dataset, scale: ExperimentScale) -> Vec<TaggingActionGroup> {
+fn enumerate_groups(dataset: &Dataset, scale: ExperimentScale) -> Vec<TaggingActionGroup> {
     GroupingScheme::over(dataset, &scale.grouping_attributes())
         .expect("grouping attributes exist in the MovieLens-style schemas")
         .min_group_size(scale.min_group_size())
@@ -197,13 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_defaults_to_medium() {
-        // Note: this does not set the variable to avoid interfering with other tests.
-        let scale = ExperimentScale::from_env();
-        assert!(matches!(
-            scale,
-            ExperimentScale::Small | ExperimentScale::Medium | ExperimentScale::Paper
-        ));
+    fn scale_names_parse_case_insensitively_and_default_to_medium() {
+        assert_eq!(ExperimentScale::parse(""), ExperimentScale::Medium);
+        assert_eq!(ExperimentScale::parse("SMALL"), ExperimentScale::Small);
+        assert_eq!(ExperimentScale::parse("full"), ExperimentScale::Paper);
+        assert_eq!(ExperimentScale::parse("paper"), ExperimentScale::Paper);
+        assert_eq!(ExperimentScale::parse("bogus"), ExperimentScale::Medium);
     }
 
     #[test]

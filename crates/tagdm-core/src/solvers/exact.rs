@@ -36,12 +36,18 @@ impl ExactSolver {
     pub fn with_cap(max_candidates: u64) -> Self {
         ExactSolver { max_candidates }
     }
+}
 
-    fn solve_impl(
+impl Solver for ExactSolver {
+    fn name(&self) -> String {
+        "Exact".to_string()
+    }
+
+    fn solve_cancellable(
         &self,
         ctx: &MiningContext,
         problem: &TagDmProblem,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> SolverOutcome {
         let start = Instant::now();
         let n = ctx.num_groups();
@@ -64,7 +70,7 @@ impl ExactSolver {
             evaluated: &mut u64,
             cap: u64,
             exhausted: &mut bool,
-            cancel: Option<&CancelToken>,
+            cancel: &CancelToken,
         ) {
             if *exhausted {
                 return;
@@ -81,13 +87,9 @@ impl ExactSolver {
                     *exhausted = true;
                     return;
                 }
-                if *evaluated & CANCEL_CHECK_MASK == 0 {
-                    if let Some(token) = cancel {
-                        if token.is_cancelled() {
-                            *exhausted = true;
-                            return;
-                        }
-                    }
+                if *evaluated & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+                    *exhausted = true;
+                    return;
                 }
             }
             if current.len() == problem.max_groups {
@@ -143,25 +145,6 @@ impl ExactSolver {
                 ..SolverOutcome::null(self.name())
             },
         }
-    }
-}
-
-impl Solver for ExactSolver {
-    fn name(&self) -> String {
-        "Exact".to_string()
-    }
-
-    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome {
-        self.solve_impl(ctx, problem, None)
-    }
-
-    fn solve_cancellable(
-        &self,
-        ctx: &MiningContext,
-        problem: &TagDmProblem,
-        cancel: &CancelToken,
-    ) -> SolverOutcome {
-        self.solve_impl(ctx, problem, Some(cancel))
     }
 }
 

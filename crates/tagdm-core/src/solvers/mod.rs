@@ -102,22 +102,21 @@ pub trait Solver {
     /// The solver's display name (e.g. `"SM-LSH-Fo"`).
     fn name(&self) -> String;
 
-    /// Solve `problem` over the candidate groups of `ctx`.
-    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome;
-
-    /// Solve with a cooperative [`CancelToken`]. When the token fires mid-search the
-    /// solver stops at its next checkpoint and returns the best result found so far.
-    /// With a token that never fires this must behave exactly like
-    /// [`solve`](Solver::solve). The default implementation ignores the token, which is
-    /// correct (if unresponsive) for solvers without internal checkpoints.
+    /// Solve `problem` over the candidate groups of `ctx` with a cooperative
+    /// [`CancelToken`]. When the token fires mid-search the solver stops at its next
+    /// checkpoint and returns the best result found so far.
     fn solve_cancellable(
         &self,
         ctx: &MiningContext,
         problem: &TagDmProblem,
         cancel: &CancelToken,
-    ) -> SolverOutcome {
-        let _ = cancel;
-        self.solve(ctx, problem)
+    ) -> SolverOutcome;
+
+    /// Solve `problem` over the candidate groups of `ctx` to completion: the same
+    /// search as [`solve_cancellable`](Solver::solve_cancellable) with a token that
+    /// never fires.
+    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome {
+        self.solve_cancellable(ctx, problem, &CancelToken::new())
     }
 }
 
@@ -361,14 +360,23 @@ mod tests {
     }
 
     #[test]
-    fn default_solve_cancellable_matches_solve() {
-        struct Fixed;
-        impl Solver for Fixed {
+    fn default_solve_passes_a_token_that_never_fires() {
+        struct Probe;
+        impl Solver for Probe {
             fn name(&self) -> String {
-                "fixed".into()
+                "probe".into()
             }
-            fn solve(&self, _ctx: &MiningContext, _problem: &TagDmProblem) -> SolverOutcome {
-                SolverOutcome::null("fixed")
+            fn solve_cancellable(
+                &self,
+                _ctx: &MiningContext,
+                _problem: &TagDmProblem,
+                cancel: &CancelToken,
+            ) -> SolverOutcome {
+                // Report through `feasible` whether the token had fired.
+                SolverOutcome {
+                    feasible: !cancel.is_cancelled(),
+                    ..SolverOutcome::null("probe")
+                }
             }
         }
         let ctx = test_support::small_context();
@@ -378,11 +386,10 @@ mod tests {
             user_threshold: 0.0,
             item_threshold: 0.0,
         });
-        let token = CancelToken::new();
-        let direct = Fixed.solve(&ctx, &problem);
-        let cancellable = Fixed.solve_cancellable(&ctx, &problem, &token);
-        assert_eq!(direct.solver, cancellable.solver);
-        assert_eq!(direct.groups, cancellable.groups);
+        assert!(Probe.solve(&ctx, &problem).feasible);
+        let fired = CancelToken::new();
+        fired.cancel();
+        assert!(!Probe.solve_cancellable(&ctx, &problem, &fired).feasible);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::Duration;
 use tagdm_core::catalog::{problem_1, problem_2, problem_4, problem_6, ProblemParams};
 use tagdm_core::context::{MiningContext, SummarizerChoice};
 use tagdm_core::problem::TagDmProblem;
-use tagdm_core::solvers::ConstraintMode;
+use tagdm_core::solvers::{ConstraintMode, SolverOutcome};
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 use tagdm_data::group::GroupingScheme;
 use tagdm_engine::{ContextSpec, Engine, EngineConfig, EngineError, SolveRequest, SolverChoice};
@@ -61,14 +61,14 @@ fn mixed_workload() -> Vec<(TagDmProblem, SolverChoice)> {
     ]
 }
 
-#[test]
-fn concurrent_engine_solves_match_direct_solver_calls() {
-    let (engine, spec) = engine_with_registered_corpus(4);
-    assert!(engine.num_workers() >= 4);
-    let context = direct_context();
-    let workload = mixed_workload();
-
-    // Everything submitted up front: the batch runs concurrently across the pool.
+/// Submit the whole workload against `spec` as one batch (it runs concurrently across
+/// the pool) and check every answer against the direct solves, field by field.
+fn assert_batch_matches_direct(
+    engine: &Engine,
+    spec: &ContextSpec,
+    workload: &[(TagDmProblem, SolverChoice)],
+    direct: &[SolverOutcome],
+) {
     let responses = engine.solve_batch(
         workload
             .iter()
@@ -77,9 +77,8 @@ fn concurrent_engine_solves_match_direct_solver_calls() {
     );
 
     assert_eq!(responses.len(), workload.len());
-    for ((problem, choice), response) in workload.iter().zip(responses) {
+    for (direct, response) in direct.iter().zip(responses) {
         let engine_outcome = response.result.expect("mixed workload solves succeed");
-        let direct = choice.instantiate(problem).solve(&context, problem);
         // Everything but wall-clock time must be bit-identical to the direct call.
         assert_eq!(engine_outcome.solver, direct.solver);
         assert_eq!(engine_outcome.groups, direct.groups);
@@ -91,16 +90,47 @@ fn concurrent_engine_solves_match_direct_solver_calls() {
         );
         assert!(!response.deadline_hit);
     }
+}
 
-    let metrics = engine.metrics();
-    assert_eq!(metrics.jobs_submitted, workload.len() as u64);
-    assert_eq!(metrics.jobs_completed, workload.len() as u64);
+#[test]
+fn concurrent_engine_solves_match_direct_solver_calls() {
+    let (engine, spec) = engine_with_registered_corpus(4);
+    assert!(engine.num_workers() >= 4);
+    let context = direct_context();
+    let workload = mixed_workload();
+    let direct: Vec<SolverOutcome> = workload
+        .iter()
+        .map(|(problem, choice)| choice.instantiate(problem).solve(&context, problem))
+        .collect();
+
+    assert_batch_matches_direct(&engine, &spec, &workload, &direct);
+    let grouped = engine.metrics();
+    assert_eq!(grouped.jobs_submitted, workload.len() as u64);
+    assert_eq!(grouped.jobs_completed, workload.len() as u64);
     // One grouped context build, shared by every job in the batch (two may race on the
     // first-miss build, so at least one miss rather than exactly one).
-    assert!(metrics.context_misses >= 1);
+    assert!(grouped.context_misses >= 1);
     assert_eq!(
-        metrics.context_hits + metrics.context_misses,
+        grouped.context_hits + grouped.context_misses,
         workload.len() as u64
+    );
+
+    // The same workload over a pre-built context installed under a name: every job
+    // is a context hit on the pinned entry, with no miss and no build.
+    engine.install_context("ml-small-installed", context);
+    let installed = ContextSpec::installed("ml-small-installed");
+    assert_batch_matches_direct(&engine, &installed, &workload, &direct);
+    let metrics = engine.metrics();
+    assert_eq!(metrics.jobs_completed, 2 * workload.len() as u64);
+    assert_eq!(
+        metrics.context_hits,
+        grouped.context_hits + workload.len() as u64
+    );
+    assert_eq!(metrics.context_misses, grouped.context_misses);
+    assert_eq!(metrics.context_build.count, grouped.context_build.count);
+    assert_eq!(
+        metrics.context_builds_deduped,
+        grouped.context_builds_deduped
     );
 }
 
