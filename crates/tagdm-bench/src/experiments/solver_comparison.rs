@@ -230,12 +230,75 @@ mod tests {
         Workload::build(ExperimentScale::Small)
     }
 
+    /// One run's answer: `(problem_id, solver, groups, objective bits, feasible,
+    /// candidates_evaluated)`.
+    type Answer<'a> = (usize, &'a str, &'a [usize], u64, bool, u64);
+
+    /// Figures 3–4 at Small scale with the relaxed parameters, bit for bit.
+    const SIMILARITY_ANSWERS: [Answer<'static>; 9] = [
+        (1, "Exact", &[32, 60], 0x3fefb72b422fda2b, true, 54809),
+        (1, "SM-LSH-Fi", &[11, 41], 0x3fef88179cb00a5b, true, 44),
+        (1, "SM-LSH-Fo", &[18, 48], 0x3fef4ce35508a956, true, 118),
+        (2, "Exact", &[66, 67], 0x3fef87dfe5dd8d06, true, 54809),
+        (2, "SM-LSH-Fi", &[48, 52], 0x3fef82cac5ea43db, true, 42),
+        (2, "SM-LSH-Fo", &[66, 67], 0x3fef87dfe5dd8d06, true, 81),
+        (3, "Exact", &[32, 60], 0x3fefb72b422fda2b, true, 54809),
+        (3, "SM-LSH-Fi", &[11, 41], 0x3fef88179cb00a5b, true, 44),
+        (3, "SM-LSH-Fo", &[32, 60], 0x3fefb72b422fda2b, true, 54),
+    ];
+
+    /// Figures 5–6 at Small scale with the relaxed parameters, bit for bit.
+    const DIVERSITY_ANSWERS: [Answer<'static>; 9] = [
+        (4, "Exact", &[11, 16, 28], 0x3fd64fb38ae96903, true, 54809),
+        (4, "DV-FDP-Fi", &[], 0x0000000000000000, false, 2346),
+        (
+            4,
+            "DV-FDP-Fo",
+            &[11, 28, 34],
+            0x3fd5102f74935f5a,
+            true,
+            5133,
+        ),
+        (5, "Exact", &[11, 16], 0x3fdd65c0db4d8a2a, true, 54809),
+        (5, "DV-FDP-Fi", &[2, 16, 33], 0x3fd9168566d5c555, true, 2346),
+        (5, "DV-FDP-Fo", &[2, 11, 16], 0x3fd96c228e8199b9, true, 5906),
+        (6, "Exact", &[16, 28, 33], 0x3fd5aff62bcfd1f4, true, 54809),
+        (6, "DV-FDP-Fi", &[], 0x0000000000000000, false, 2346),
+        (
+            6,
+            "DV-FDP-Fo",
+            &[28, 34, 45],
+            0x3fd36baa73f19ea3,
+            true,
+            4965,
+        ),
+    ];
+
+    fn assert_answers(result: &ComparisonResult, expected: &[Answer]) {
+        let actual: Vec<Answer> = result
+            .runs
+            .iter()
+            .map(|run| {
+                (
+                    run.problem_id,
+                    run.solver.as_str(),
+                    run.report.groups.as_slice(),
+                    run.report.objective.to_bits(),
+                    run.report.feasible,
+                    run.report.candidates_evaluated,
+                )
+            })
+            .collect();
+        assert_eq!(actual, expected);
+    }
+
     #[test]
     fn similarity_comparison_runs_all_nine_measurements() {
         let workload = small_workload();
         let result = run_similarity(&workload, workload.relaxed_params());
         assert_eq!(result.runs.len(), 9);
         assert!(!result.exact_capped);
+        assert_answers(&result, &SIMILARITY_ANSWERS);
         for pid in 1..=3 {
             let runs = result.runs_for(pid);
             assert_eq!(runs.len(), 3);
@@ -260,6 +323,7 @@ mod tests {
         let workload = small_workload();
         let result = run_diversity(&workload, workload.relaxed_params());
         assert_eq!(result.runs.len(), 9);
+        assert_answers(&result, &DIVERSITY_ANSWERS);
         for pid in 4..=6 {
             assert_eq!(result.runs_for(pid).len(), 3);
             let exact = result.run(pid, "Exact").unwrap();

@@ -39,16 +39,6 @@ impl ProblemParams {
             item_threshold: 0.5,
         }
     }
-
-    /// The worked-example setting of Section 2.2: `k = 2`, `p = 100`, `q = r = 0.5`.
-    pub fn worked_example() -> Self {
-        ProblemParams {
-            k: 2,
-            min_support: 100,
-            user_threshold: 0.5,
-            item_threshold: 0.5,
-        }
-    }
 }
 
 impl Default for ProblemParams {
@@ -327,9 +317,6 @@ mod tests {
         assert_eq!(params.k, 3);
         assert_eq!(params.min_support, 333);
         assert_eq!(params.user_threshold, 0.5);
-        let worked = ProblemParams::worked_example();
-        assert_eq!(worked.k, 2);
-        assert_eq!(worked.min_support, 100);
     }
 
     #[test]

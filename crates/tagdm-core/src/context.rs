@@ -37,24 +37,9 @@ pub enum SummarizerChoice {
 }
 
 impl SummarizerChoice {
-    /// The paper's configuration: LDA with 25 global topic categories.
-    pub fn paper_lda() -> Self {
-        SummarizerChoice::Lda(LdaConfig::with_topics(25))
-    }
-
     /// A fast LDA configuration for tests and examples.
     pub fn fast_lda(num_topics: usize) -> Self {
         SummarizerChoice::Lda(LdaConfig::fast(num_topics))
-    }
-
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SummarizerChoice::Frequency => "frequency",
-            SummarizerChoice::FrequencyNormalized => "frequency-normalized",
-            SummarizerChoice::TfIdf => "tf-idf",
-            SummarizerChoice::Lda(_) => "lda",
-        }
     }
 }
 
@@ -73,11 +58,8 @@ pub struct MiningContext {
     user_onehot: Vec<Vec<(u32, f64)>>,
     /// Unarized (one-hot) item description vectors.
     item_onehot: Vec<Vec<(u32, f64)>>,
-    user_arity: usize,
-    item_arity: usize,
     user_domain: usize,
     item_domain: usize,
-    summarizer: &'static str,
 }
 
 impl MiningContext {
@@ -95,16 +77,13 @@ impl MiningContext {
                 .map(|g| g.tag_counts.iter().map(|&(t, c)| (t.0, c)).collect())
                 .collect(),
         );
-        let (signatures, summarizer_name) = match summarizer {
-            SummarizerChoice::Frequency => {
-                (FrequencySummarizer::new().summarize(&corpus), "frequency")
+        let signatures = match summarizer {
+            SummarizerChoice::Frequency => FrequencySummarizer::new().summarize(&corpus),
+            SummarizerChoice::FrequencyNormalized => {
+                FrequencySummarizer::normalized().summarize(&corpus)
             }
-            SummarizerChoice::FrequencyNormalized => (
-                FrequencySummarizer::normalized().summarize(&corpus),
-                "frequency-normalized",
-            ),
-            SummarizerChoice::TfIdf => (TfIdfSummarizer::new().summarize(&corpus), "tf-idf"),
-            SummarizerChoice::Lda(config) => (LdaSummarizer::new(config).summarize(&corpus), "lda"),
+            SummarizerChoice::TfIdf => TfIdfSummarizer::new().summarize(&corpus),
+            SummarizerChoice::Lda(config) => LdaSummarizer::new(config).summarize(&corpus),
         };
         let signature_dims = signatures.first().map_or(0, TagSignature::dims);
 
@@ -162,11 +141,8 @@ impl MiningContext {
             item_values,
             user_onehot,
             item_onehot,
-            user_arity,
-            item_arity,
             user_domain,
             item_domain,
-            summarizer: summarizer_name,
         }
     }
 
@@ -191,54 +167,9 @@ impl MiningContext {
         &self.groups[idx]
     }
 
-    /// The tag signature of one group.
-    pub fn tag_signature(&self, idx: usize) -> &TagSignature {
-        &self.signatures[idx]
-    }
-
-    /// All group tag signatures (parallel to [`MiningContext::groups`]).
-    pub fn tag_signatures(&self) -> &[TagSignature] {
-        &self.signatures
-    }
-
     /// Dimensionality of the group tag signatures (25 for the paper's LDA setting).
     pub fn signature_dims(&self) -> usize {
         self.signature_dims
-    }
-
-    /// Name of the summarizer used to build the signatures.
-    pub fn summarizer_name(&self) -> &'static str {
-        self.summarizer
-    }
-
-    /// Arity of the user schema (number of user attributes).
-    pub fn user_arity(&self) -> usize {
-        self.user_arity
-    }
-
-    /// Arity of the item schema (number of item attributes).
-    pub fn item_arity(&self) -> usize {
-        self.item_arity
-    }
-
-    /// Total size of the unarized user-attribute space.
-    pub fn user_domain_size(&self) -> usize {
-        self.user_domain
-    }
-
-    /// Total size of the unarized item-attribute space.
-    pub fn item_domain_size(&self) -> usize {
-        self.item_domain
-    }
-
-    /// The unarized user description vector of a group.
-    pub fn user_onehot(&self, idx: usize) -> &[(u32, f64)] {
-        &self.user_onehot[idx]
-    }
-
-    /// The unarized item description vector of a group.
-    pub fn item_onehot(&self, idx: usize) -> &[(u32, f64)] {
-        &self.item_onehot[idx]
     }
 
     /// The pairwise *similarity* `F_p(g_a, g_b, dimension, similarity) ∈ [0, 1]` under a
@@ -443,9 +374,8 @@ mod tests {
     fn context_precomputes_one_signature_per_group() {
         let (_, ctx) = context(SummarizerChoice::Frequency);
         assert_eq!(ctx.num_groups(), 4);
-        assert_eq!(ctx.tag_signatures().len(), 4);
+        assert_eq!(ctx.signatures.len(), 4);
         assert_eq!(ctx.signature_dims(), 7); // vocabulary size
-        assert_eq!(ctx.summarizer_name(), "frequency");
         assert_eq!(ctx.num_input_actions(), 6);
     }
 
@@ -455,7 +385,7 @@ mod tests {
         // Find the two groups with gender=male: they share the user side entirely.
         let male_groups: Vec<usize> = (0..ctx.num_groups())
             .filter(|&i| {
-                ctx.user_onehot(i).iter().any(|&(c, _)| c == 0) // first unarized slot = gender=male (first interned)
+                ctx.user_onehot[i].iter().any(|&(c, _)| c == 0) // first unarized slot = gender=male (first interned)
             })
             .collect();
         assert_eq!(male_groups.len(), 2);
@@ -485,7 +415,7 @@ mod tests {
             for b in 0..ctx.num_groups() {
                 let sim =
                     ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::TagCosine, a, b);
-                let expected = ctx.tag_signature(a).cosine_similarity(ctx.tag_signature(b));
+                let expected = ctx.signatures[a].cosine_similarity(&ctx.signatures[b]);
                 assert!((sim - expected).abs() < 1e-12);
                 // Structural kind on the tags dimension falls back to cosine too.
                 let fallback =
@@ -558,12 +488,12 @@ mod tests {
     fn folded_vectors_concatenate_blocks() {
         let (_, ctx) = context(SummarizerChoice::Frequency);
         let plain = ctx.folded_vector(0, false, false);
-        assert_eq!(plain, ctx.tag_signature(0).entries().to_vec());
+        assert_eq!(plain, ctx.signatures[0].entries().to_vec());
 
         let folded = ctx.folded_vector(0, true, true);
         assert_eq!(
             ctx.folded_dims(true, true),
-            ctx.signature_dims() + ctx.user_domain_size() + ctx.item_domain_size()
+            ctx.signature_dims() + ctx.user_domain + ctx.item_domain
         );
         // Folded vector has the one-hot entries beyond the signature block.
         let beyond: Vec<_> = folded
@@ -572,7 +502,7 @@ mod tests {
             .collect();
         assert_eq!(
             beyond.len(),
-            ctx.user_onehot(0).len() + ctx.item_onehot(0).len()
+            ctx.user_onehot[0].len() + ctx.item_onehot[0].len()
         );
         // All components fall inside the declared folded dimensionality.
         assert!(folded
@@ -597,8 +527,5 @@ mod tests {
     fn lda_context_uses_topic_space() {
         let (_, ctx) = context(SummarizerChoice::fast_lda(4));
         assert_eq!(ctx.signature_dims(), 4);
-        assert_eq!(ctx.summarizer_name(), "lda");
-        assert_eq!(SummarizerChoice::paper_lda().name(), "lda");
-        assert_eq!(SummarizerChoice::TfIdf.name(), "tf-idf");
     }
 }

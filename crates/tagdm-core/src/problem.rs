@@ -33,12 +33,6 @@ impl ConstraintSpec {
     pub fn satisfied(&self, ctx: &MiningContext, set: &[usize]) -> bool {
         self.function.evaluate(ctx, set) + 1e-12 >= self.threshold
     }
-
-    /// Whether a single *pair* satisfies the constraint's threshold — used when folding
-    /// constraints into greedy selection (DV-FDP-Fo, Section 5.3).
-    pub fn pair_satisfied(&self, ctx: &MiningContext, a: usize, b: usize) -> bool {
-        self.function.evaluate_pair(ctx, a, b) + 1e-12 >= self.threshold
-    }
 }
 
 /// One optimization criterion `o_j`: a dual mining function and its weight `o_j.Wt` in
@@ -122,8 +116,12 @@ impl TagDmProblem {
         if self.objectives.is_empty() {
             return Err("a TagDM problem needs at least one optimization criterion".into());
         }
-        if self.objectives.iter().any(|o| o.weight <= 0.0) {
-            return Err("objective weights must be positive".into());
+        if self
+            .objectives
+            .iter()
+            .any(|o| !(o.weight.is_finite() && o.weight > 0.0))
+        {
+            return Err("objective weights must be finite and positive".into());
         }
         if self
             .constraints
@@ -174,18 +172,6 @@ impl TagDmProblem {
         self.size_ok(set.len()) && self.support_ok(ctx, set) && self.constraints_satisfied(ctx, set)
     }
 
-    /// The dimensions that appear in the optimization goal.
-    pub fn objective_dimensions(&self) -> Vec<TaggingDimension> {
-        let mut dims: Vec<TaggingDimension> = self
-            .objectives
-            .iter()
-            .map(|o| o.function.dimension)
-            .collect();
-        dims.sort();
-        dims.dedup();
-        dims
-    }
-
     /// Whether any objective asks for similarity (drives the choice of SM-LSH).
     pub fn maximizes_similarity(&self) -> bool {
         self.objectives
@@ -206,13 +192,6 @@ impl TagDmProblem {
         self.constraints
             .iter()
             .filter(|c| c.function.criterion == MiningCriterion::Similarity)
-    }
-
-    /// The constraints whose criterion is diversity.
-    pub fn diversity_constraints(&self) -> impl Iterator<Item = &ConstraintSpec> {
-        self.constraints
-            .iter()
-            .filter(|c| c.function.criterion == MiningCriterion::Diversity)
     }
 
     /// One-line description of the problem shape, e.g.
@@ -333,9 +312,11 @@ mod tests {
         bad_threshold.constraints[0].threshold = 1.5;
         assert!(bad_threshold.validate().is_err());
 
-        let mut bad_weight = sample_problem();
-        bad_weight.objectives[0].weight = 0.0;
-        assert!(bad_weight.validate().is_err());
+        for weight in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let mut bad_weight = sample_problem();
+            bad_weight.objectives[0].weight = weight;
+            assert!(bad_weight.validate().is_err(), "weight {weight}");
+        }
     }
 
     #[test]
@@ -390,28 +371,15 @@ mod tests {
         let problem = sample_problem();
         assert!(problem.maximizes_similarity());
         assert!(!problem.maximizes_diversity());
-        assert_eq!(problem.objective_dimensions(), vec![TaggingDimension::Tags]);
         assert_eq!(problem.similarity_constraints().count(), 1);
-        assert_eq!(problem.diversity_constraints().count(), 0);
         let desc = problem.describe();
         assert!(desc.contains("users similarity"));
         assert!(desc.contains("tags similarity"));
     }
 
     #[test]
-    fn pair_satisfied_matches_set_constraint_for_pairs() {
+    fn item_set_jaccard_constraint_evaluates() {
         let ctx = ctx();
-        let constraint =
-            ConstraintSpec::standard(TaggingDimension::Items, MiningCriterion::Similarity, 0.3);
-        for a in 0..ctx.num_groups() {
-            for b in (a + 1)..ctx.num_groups() {
-                assert_eq!(
-                    constraint.pair_satisfied(&ctx, a, b),
-                    constraint.satisfied(&ctx, &[a, b])
-                );
-            }
-        }
-        // A Jaccard-kind constraint builds and evaluates too.
         let jaccard = ConstraintSpec {
             function: DualMiningFunction::standard(
                 TaggingDimension::Users,

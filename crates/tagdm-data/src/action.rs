@@ -1,9 +1,8 @@
-//! Tagging actions ⟨u, i, T⟩ and expanded tagging-action tuples.
+//! Tagging actions ⟨u, i, T⟩.
 
 use serde::{Deserialize, Serialize};
 
 use crate::entity::{ItemId, UserId};
-use crate::schema::ValueId;
 use crate::tag::TagId;
 
 /// Index of a tagging action inside a [`Dataset`](crate::dataset::Dataset).
@@ -38,35 +37,10 @@ impl TaggingAction {
         }
     }
 
-    /// Construct an action with a rating.
-    pub fn with_rating(user: UserId, item: ItemId, tags: Vec<TagId>, rating: f32) -> Self {
-        TaggingAction {
-            user,
-            item,
-            tags,
-            rating: Some(rating),
-        }
-    }
-
     /// Number of tags in the action.
     pub fn num_tags(&self) -> usize {
         self.tags.len()
     }
-}
-
-/// An *expanded* tagging-action tuple `r = ⟨r_u.a1, …, r_i.a1, …, T⟩` (Section 2):
-/// the user's attribute values concatenated with the item's attribute values and the
-/// tag set. Expanded tuples are what describable groups are defined over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExpandedTuple {
-    /// Which action this tuple expands.
-    pub action: ActionId,
-    /// The tagging user's attribute values (user-schema order).
-    pub user_values: Vec<ValueId>,
-    /// The tagged item's attribute values (item-schema order).
-    pub item_values: Vec<ValueId>,
-    /// The tags of the action.
-    pub tags: Vec<TagId>,
 }
 
 #[cfg(test)]
@@ -78,22 +52,5 @@ mod tests {
         let a = TaggingAction::new(UserId(1), ItemId(2), vec![TagId(3), TagId(4)]);
         assert_eq!(a.num_tags(), 2);
         assert_eq!(a.rating, None);
-
-        let b = TaggingAction::with_rating(UserId(1), ItemId(2), vec![TagId(3)], 4.5);
-        assert_eq!(b.rating, Some(4.5));
-        assert_eq!(b.num_tags(), 1);
-    }
-
-    #[test]
-    fn expanded_tuple_serializes() {
-        let t = ExpandedTuple {
-            action: ActionId(7),
-            user_values: vec![ValueId(0), ValueId(1)],
-            item_values: vec![ValueId(2)],
-            tags: vec![TagId(5)],
-        };
-        let json = serde_json::to_string(&t).unwrap();
-        let back: ExpandedTuple = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

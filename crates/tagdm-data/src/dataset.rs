@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::action::{ActionId, ExpandedTuple, TaggingAction};
+use crate::action::{ActionId, TaggingAction};
 use crate::entity::{Item, ItemId, User, UserId};
 use crate::error::DataError;
 use crate::schema::Schema;
@@ -68,17 +68,6 @@ impl Dataset {
             .iter()
             .enumerate()
             .map(|(i, a)| (ActionId(i as u32), a))
-    }
-
-    /// Materialize the expanded tuple for one action (user values ++ item values ++ tags).
-    pub fn expand(&self, id: ActionId) -> ExpandedTuple {
-        let action = self.action(id);
-        ExpandedTuple {
-            action: id,
-            user_values: self.user(action.user).values.clone(),
-            item_values: self.item(action.item).values.clone(),
-            tags: action.tags.clone(),
-        }
     }
 
     /// Summary statistics for reporting and sanity checks.
@@ -303,15 +292,6 @@ mod tests {
         assert_eq!(ds.num_actions(), 3);
         assert_eq!(ds.num_tags(), 5);
         ds.validate().unwrap();
-    }
-
-    #[test]
-    fn expand_concatenates_user_and_item_values() {
-        let ds = tiny_dataset();
-        let tuple = ds.expand(ActionId(0));
-        assert_eq!(tuple.user_values.len(), ds.user_schema.arity());
-        assert_eq!(tuple.item_values.len(), ds.item_schema.arity());
-        assert_eq!(tuple.tags.len(), 2);
     }
 
     #[test]

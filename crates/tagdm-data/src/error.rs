@@ -33,8 +33,6 @@ pub enum DataError {
     EmptyTagSet,
     /// Wrapper around JSON (de)serialization failures.
     Serde(String),
-    /// Wrapper around I/O failures.
-    Io(String),
 }
 
 impl fmt::Display for DataError {
@@ -60,18 +58,11 @@ impl fmt::Display for DataError {
             DataError::UnknownTag(id) => write!(f, "tagging action references unknown tag {id}"),
             DataError::EmptyTagSet => write!(f, "tagging action has an empty tag set"),
             DataError::Serde(msg) => write!(f, "serialization error: {msg}"),
-            DataError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for DataError {}
-
-impl From<std::io::Error> for DataError {
-    fn from(err: std::io::Error) -> Self {
-        DataError::Io(err.to_string())
-    }
-}
 
 impl From<serde_json::Error> for DataError {
     fn from(err: serde_json::Error) -> Self {
@@ -103,11 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn io_and_serde_errors_convert() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
-        let err: DataError = io.into();
-        assert!(matches!(err, DataError::Io(_)));
-
+    fn serde_errors_convert() {
         let json_err = serde_json::from_str::<u32>("not json").unwrap_err();
         let err: DataError = json_err.into();
         assert!(matches!(err, DataError::Serde(_)));

@@ -4,10 +4,6 @@
 //! and re-used across runs. Deserialization rebuilds the in-memory lookup indices that
 //! are intentionally not persisted.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
 use crate::dataset::Dataset;
 use crate::error::DataError;
 
@@ -22,24 +18,6 @@ pub fn from_json(json: &str) -> Result<Dataset, DataError> {
     rebuild(&mut dataset);
     dataset.validate()?;
     Ok(dataset)
-}
-
-/// Write a dataset to a JSON file.
-pub fn save(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), DataError> {
-    let file = File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    let json = to_json(dataset)?;
-    writer.write_all(json.as_bytes())?;
-    Ok(())
-}
-
-/// Read a dataset from a JSON file.
-pub fn load(path: impl AsRef<Path>) -> Result<Dataset, DataError> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut json = String::new();
-    reader.read_to_string(&mut json)?;
-    from_json(&json)
 }
 
 fn rebuild(dataset: &mut Dataset) {
@@ -86,18 +64,6 @@ mod tests {
             ds.user_schema.attribute_id("state")
         );
         assert_eq!(back.tags.id("funny"), ds.tags.id("funny"));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let ds = dataset();
-        let dir = std::env::temp_dir().join("tagdm_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dataset.json");
-        save(&ds, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(back.num_actions(), ds.num_actions());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`schema`] — attribute schemas for users and items with interned attribute values;
 //! * [`entity`] — users and items conforming to those schemas;
 //! * [`tag`] — the tag vocabulary with interned tag identifiers;
-//! * [`action`] — tagging actions and expanded tagging-action tuples;
+//! * [`action`] — tagging actions;
 //! * [`dataset`] — the full corpus ⟨U, I, 𝒯, G⟩ plus builders and summary statistics;
 //! * [`predicate`] — conjunctive (attribute, value) predicates describing groups;
 //! * [`group`] — *describable* tagging-action groups, group enumeration and

@@ -136,20 +136,6 @@ impl ConjunctivePredicate {
         &self.conditions
     }
 
-    /// Only the user-side conjuncts.
-    pub fn user_conditions(&self) -> impl Iterator<Item = &AtomicPredicate> {
-        self.conditions
-            .iter()
-            .filter(|c| c.dimension == Dimension::User)
-    }
-
-    /// Only the item-side conjuncts.
-    pub fn item_conditions(&self) -> impl Iterator<Item = &AtomicPredicate> {
-        self.conditions
-            .iter()
-            .filter(|c| c.dimension == Dimension::Item)
-    }
-
     /// Add a conjunct, keeping the canonical order.
     pub fn and(&self, extra: AtomicPredicate) -> Self {
         let mut conditions = self.conditions.clone();
@@ -160,14 +146,6 @@ impl ConjunctivePredicate {
     /// Whether `action` satisfies every conjunct.
     pub fn matches(&self, dataset: &Dataset, action: &TaggingAction) -> bool {
         self.conditions.iter().all(|c| c.matches(dataset, action))
-    }
-
-    /// The value required for a given `(dimension, attribute)`, if constrained.
-    pub fn value_for(&self, dimension: Dimension, attribute: AttributeId) -> Option<ValueId> {
-        self.conditions
-            .iter()
-            .find(|c| c.dimension == dimension && c.attribute == attribute)
-            .map(|c| c.value)
     }
 
     /// Human-readable description such as
@@ -281,17 +259,6 @@ mod tests {
         let s = pred.describe(&ds.user_schema, &ds.item_schema);
         assert!(s.contains("user.gender=male"));
         assert!(s.contains("item.genre=war"));
-    }
-
-    #[test]
-    fn value_for_returns_constrained_values_only() {
-        let ds = dataset();
-        let pred = ConjunctivePredicate::parse(&ds, &[("user", "gender", "male")]).unwrap();
-        let gender = ds.user_schema.attribute_id("gender").unwrap();
-        let age = ds.user_schema.attribute_id("age").unwrap();
-        assert!(pred.value_for(Dimension::User, gender).is_some());
-        assert!(pred.value_for(Dimension::User, age).is_none());
-        assert!(pred.value_for(Dimension::Item, gender).is_none());
     }
 
     #[test]

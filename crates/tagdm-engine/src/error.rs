@@ -14,7 +14,9 @@ pub enum EngineError {
     UnknownDataset(String),
     /// The request referenced an installed context name that does not exist.
     UnknownContext(String),
-    /// The grouping recipe did not match the dataset's schema.
+    /// The context spec is invalid: its grouping recipe does not match the dataset's
+    /// schema, or its LDA settings fail
+    /// [`LdaConfig::validate`](tagdm_topics::lda::LdaConfig::validate).
     InvalidGrouping(String),
     /// The problem failed [`TagDmProblem::validate`](tagdm_core::problem::TagDmProblem::validate).
     InvalidProblem(String),
@@ -89,7 +91,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::UnknownDataset(name) => write!(f, "unknown dataset `{name}`"),
             EngineError::UnknownContext(name) => write!(f, "unknown installed context `{name}`"),
-            EngineError::InvalidGrouping(message) => write!(f, "invalid grouping: {message}"),
+            EngineError::InvalidGrouping(message) => write!(f, "invalid context spec: {message}"),
             EngineError::InvalidProblem(message) => write!(f, "invalid problem: {message}"),
             EngineError::DeadlineExpiredInQueue { waited } => {
                 write!(f, "deadline expired after {waited:?} in queue")

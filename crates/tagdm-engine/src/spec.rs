@@ -83,14 +83,6 @@ impl ContextSpec {
             ContextSpec::Installed { name } => ContextKey(format!("installed:{name}")),
         }
     }
-
-    /// The dataset name a grouped spec reads from (`None` for installed contexts).
-    pub fn dataset_name(&self) -> Option<&str> {
-        match self {
-            ContextSpec::Grouped { dataset, .. } => Some(dataset),
-            ContextSpec::Installed { .. } => None,
-        }
-    }
 }
 
 /// Canonical, hashable identity of a cached mining context.
@@ -178,6 +170,5 @@ mod tests {
             ContextSpec::installed("bin-0").key(),
             ContextSpec::installed("bin-1").key()
         );
-        assert_eq!(ContextSpec::installed("bin-0").dataset_name(), None);
     }
 }

@@ -18,7 +18,7 @@ use std::sync::{
 };
 use std::time::Instant;
 
-use tagdm_core::context::MiningContext;
+use tagdm_core::context::{MiningContext, SummarizerChoice};
 use tagdm_core::problem::TagDmProblem;
 use tagdm_core::solvers::SolverOutcome;
 use tagdm_data::dataset::Dataset;
@@ -249,6 +249,11 @@ impl EngineState {
         else {
             unreachable!("only grouped specs are built");
         };
+        // Unusable LDA settings would otherwise trip an assertion mid-build and be
+        // answered as a (transient) worker panic.
+        if let SummarizerChoice::Lda(config) = summarizer {
+            config.validate().map_err(EngineError::InvalidGrouping)?;
+        }
         failpoint::check(failpoint::site::CONTEXT_BUILD)?;
         let dataset = self
             .dataset(dataset)

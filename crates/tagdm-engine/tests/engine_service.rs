@@ -10,7 +10,10 @@ use tagdm_core::problem::TagDmProblem;
 use tagdm_core::solvers::{ConstraintMode, SolverOutcome};
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 use tagdm_data::group::GroupingScheme;
-use tagdm_engine::{ContextSpec, Engine, EngineConfig, EngineError, SolveRequest, SolverChoice};
+use tagdm_engine::{
+    ContextSpec, Engine, EngineConfig, EngineError, RetryPolicy, SolveRequest, SolverChoice,
+};
+use tagdm_topics::lda::LdaConfig;
 
 const GROUPING: [(&str, &str); 3] = [("user", "gender"), ("user", "age"), ("item", "genre")];
 const MIN_GROUP_SIZE: usize = 5;
@@ -205,4 +208,72 @@ fn unknown_names_surface_typed_errors() {
         missing_context.result,
         Err(EngineError::UnknownContext("nope".to_string()))
     );
+}
+
+#[test]
+fn non_finite_objective_weight_is_an_invalid_problem() {
+    let (engine, spec) = engine_with_registered_corpus(2);
+    // The JSON decoder reads an out-of-range literal as +inf, so a remote SOLVE can
+    // carry an infinite weight.
+    let json = serde_json::to_string(&problem_1(params())).expect("problems serialize");
+    let inflated = json.replace("\"weight\":1.0", "\"weight\":1e400");
+    assert_ne!(json, inflated, "the problem JSON carries a unit weight");
+    let problem: TagDmProblem = serde_json::from_str(&inflated).expect("problem decodes");
+    assert_eq!(problem.objectives[0].weight, f64::INFINITY);
+
+    let response = engine.solve(SolveRequest::new(spec, problem, SolverChoice::Recommended));
+    match response.result {
+        Err(EngineError::InvalidProblem(_)) => {}
+        other => panic!("expected an invalid-problem error, got {other:?}"),
+    }
+    assert_eq!(
+        engine.metrics().outcome_misses,
+        0,
+        "nothing was solved or cached"
+    );
+}
+
+#[test]
+fn invalid_lda_settings_are_a_non_transient_spec_error() {
+    let (engine, _) = engine_with_registered_corpus(2);
+    let lda = LdaConfig::fast(4);
+    let invalid = [
+        LdaConfig {
+            burn_in: lda.iterations,
+            ..lda
+        },
+        LdaConfig {
+            num_topics: 0,
+            ..lda
+        },
+        LdaConfig { alpha: 0.0, ..lda },
+        LdaConfig {
+            beta: f64::NAN,
+            ..lda
+        },
+    ];
+    for config in invalid {
+        let spec = ContextSpec::grouped(
+            "ml-small",
+            &GROUPING,
+            MIN_GROUP_SIZE,
+            SummarizerChoice::Lda(config),
+        );
+        let request =
+            SolveRequest::new(spec.clone(), problem_1(params()), SolverChoice::Recommended);
+        let response = engine.solve_with(request, RetryPolicy::default());
+        match &response.result {
+            Err(error @ EngineError::InvalidGrouping(_)) => assert!(!error.is_transient()),
+            other => panic!("expected an invalid-spec error for {config:?}, got {other:?}"),
+        }
+        // `Engine::context` reaches the same check.
+        assert!(matches!(
+            engine.context(&spec),
+            Err(EngineError::InvalidGrouping(_))
+        ));
+    }
+    let metrics = engine.metrics();
+    assert_eq!(metrics.jobs_panicked, 0);
+    assert_eq!(metrics.jobs_retried, 0);
+    assert_eq!(metrics.context_build.count, 0);
 }

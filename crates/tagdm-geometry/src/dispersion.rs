@@ -74,44 +74,6 @@ pub fn max_avg_greedy_with(
     selected
 }
 
-/// Greedy MAX-MIN dispersion (Gonzalez-style): seed with the maximum-distance pair, then
-/// repeatedly add the point whose *minimum* distance to the selected set is largest.
-/// Used by the ablation benchmarks to compare dispersion objectives.
-pub fn max_min_greedy(matrix: &DistanceMatrix, k: usize) -> Vec<usize> {
-    let n = matrix.len();
-    if n == 0 || k == 0 {
-        return Vec::new();
-    }
-    if k == 1 || n == 1 {
-        return vec![0];
-    }
-    let Some((a, b, _)) = matrix.max_pair() else {
-        return vec![0];
-    };
-    let mut selected = vec![a.min(b), a.max(b)];
-    while selected.len() < k && selected.len() < n {
-        let mut best: Option<(usize, f64)> = None;
-        for candidate in 0..n {
-            if selected.contains(&candidate) {
-                continue;
-            }
-            let closest = selected
-                .iter()
-                .map(|&s| matrix.get(candidate, s))
-                .fold(f64::INFINITY, f64::min);
-            if best.is_none_or(|(_, bd)| closest > bd) {
-                best = Some((candidate, closest));
-            }
-        }
-        match best {
-            Some((candidate, _)) => selected.push(candidate),
-            None => break,
-        }
-    }
-    selected.sort_unstable();
-    selected
-}
-
 /// Exact MAX-AVG dispersion by exhaustive enumeration of all `k`-subsets. Exponential;
 /// only suitable for small instances (tests, approximation-ratio measurements and the
 /// paper's Exact baseline on reduced corpora).
@@ -202,7 +164,6 @@ mod tests {
         assert_eq!(max_avg_greedy(&m, 10), vec![0, 1, 2]);
         let empty = DistanceMatrix::from_fn(0, |_, _| 0.0);
         assert!(max_avg_greedy(&empty, 3).is_empty());
-        assert!(max_min_greedy(&empty, 3).is_empty());
         assert!(exact_max_avg(&empty, 2).is_empty());
     }
 
@@ -250,31 +211,6 @@ mod tests {
         assert!(picks.iter().filter(|&&s| s < 3).count() <= 2);
     }
 
-    #[test]
-    fn max_min_prefers_spread_out_points() {
-        // Clustered line: {0, 0.1, 0.2} and {10, 10.1} and {20}.
-        let m = line_metric(&[0.0, 0.1, 0.2, 10.0, 10.1, 20.0]);
-        let picks = max_min_greedy(&m, 3);
-        // One point per cluster maximizes the minimum distance.
-        let clusters: std::collections::HashSet<usize> = picks
-            .iter()
-            .map(|&i| {
-                if i < 3 {
-                    0
-                } else if i < 5 {
-                    1
-                } else {
-                    2
-                }
-            })
-            .collect();
-        assert_eq!(
-            clusters.len(),
-            3,
-            "picks {picks:?} should cover all clusters"
-        );
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -284,13 +220,12 @@ mod tests {
             k in 2usize..5,
         ) {
             let m = line_metric(&values);
-            for picks in [max_avg_greedy(&m, k), max_min_greedy(&m, k)] {
-                prop_assert_eq!(picks.len(), k.min(values.len()));
-                let mut dedup = picks.clone();
-                dedup.dedup();
-                prop_assert_eq!(dedup.len(), picks.len());
-                prop_assert!(picks.iter().all(|&i| i < values.len()));
-            }
+            let picks = max_avg_greedy(&m, k);
+            prop_assert_eq!(picks.len(), k.min(values.len()));
+            let mut dedup = picks.clone();
+            dedup.dedup();
+            prop_assert_eq!(dedup.len(), picks.len());
+            prop_assert!(picks.iter().all(|&i| i < values.len()));
         }
 
         #[test]

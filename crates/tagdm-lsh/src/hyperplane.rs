@@ -21,16 +21,6 @@ impl Hyperplane {
         Hyperplane { normal }
     }
 
-    /// Build a hyperplane from explicit coefficients (useful in tests).
-    pub fn from_normal(normal: Vec<f64>) -> Self {
-        Hyperplane { normal }
-    }
-
-    /// Dimensionality of the space the hyperplane lives in.
-    pub fn dims(&self) -> usize {
-        self.normal.len()
-    }
-
     /// The dot product `r⃗ · x` for a sparse vector `x`. Components beyond the
     /// hyperplane's dimensionality are ignored.
     pub fn project(&self, vector: SparseVector<'_>) -> f64 {
@@ -64,21 +54,6 @@ impl HyperplaneFamily {
         HyperplaneFamily { planes }
     }
 
-    /// Number of hash bits this family produces.
-    pub fn num_bits(&self) -> usize {
-        self.planes.len()
-    }
-
-    /// Dimensionality of the hashed space.
-    pub fn dims(&self) -> usize {
-        self.planes.first().map_or(0, Hyperplane::dims)
-    }
-
-    /// The individual hyperplanes.
-    pub fn planes(&self) -> &[Hyperplane] {
-        &self.planes
-    }
-
     /// Hash a vector into its bit signature.
     pub fn hash(&self, vector: SparseVector<'_>) -> BitSignature {
         let bits: Vec<bool> = self.planes.iter().map(|p| p.hash(vector)).collect();
@@ -92,30 +67,15 @@ pub fn bit_agreement_probability(theta: f64) -> f64 {
     (1.0 - theta / std::f64::consts::PI).clamp(0.0, 1.0)
 }
 
-/// The probability that two vectors at angle `theta` agree on all `num_bits` bits and
-/// therefore collide in one hash table: `(1 − θ/π)^{d′}`.
-pub fn collision_probability(theta: f64, num_bits: usize) -> f64 {
-    bit_agreement_probability(theta).powi(num_bits as i32)
-}
-
-/// The lower bound of Theorem 3: the probability that a set of `k` vectors with pairwise
-/// angles `thetas` all collide in the same bucket is at least
-/// `1 − Σ_{x,y} [1 − (1 − θ_{xy}/π)^{d′}]` (clamped at 0).
-pub fn result_set_probability_bound(thetas: &[f64], num_bits: usize) -> f64 {
-    let miss_sum: f64 = thetas
-        .iter()
-        .map(|&theta| 1.0 - collision_probability(theta, num_bits))
-        .sum();
-    (1.0 - miss_sum).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn projection_matches_manual_dot_product() {
-        let plane = Hyperplane::from_normal(vec![1.0, -2.0, 0.5]);
+        let plane = Hyperplane {
+            normal: vec![1.0, -2.0, 0.5],
+        };
         let v = [(0u32, 2.0), (2u32, 4.0)];
         assert!((plane.project(&v) - (2.0 + 2.0)).abs() < 1e-12);
         assert!(plane.hash(&v));
@@ -125,7 +85,7 @@ mod tests {
 
     #[test]
     fn out_of_range_components_are_ignored() {
-        let plane = Hyperplane::from_normal(vec![1.0]);
+        let plane = Hyperplane { normal: vec![1.0] };
         let v = [(0u32, 1.0), (5u32, 100.0)];
         assert!((plane.project(&v) - 1.0).abs() < 1e-12);
     }
@@ -181,13 +141,5 @@ mod tests {
     fn probability_bounds_are_sane() {
         assert_eq!(bit_agreement_probability(0.0), 1.0);
         assert_eq!(bit_agreement_probability(std::f64::consts::PI), 0.0);
-        assert!(collision_probability(0.1, 10) > collision_probability(0.5, 10));
-        assert!(collision_probability(0.3, 4) > collision_probability(0.3, 16));
-        // Theorem 3's bound degrades with more pairs and larger angles, never below 0.
-        let tight = result_set_probability_bound(&[0.01, 0.01, 0.01], 8);
-        let loose = result_set_probability_bound(&[1.0, 1.2, 1.4], 8);
-        assert!(tight > loose);
-        assert!(loose >= 0.0);
-        assert!(tight <= 1.0);
     }
 }

@@ -3,9 +3,9 @@
 //! Section 4.1 of the paper hashes every group tag signature vector into `l` hash tables
 //! indexed by independently drawn `d′`-bit hyperplane families. Traditional LSH then
 //! answers nearest-neighbour queries; the paper's SM-LSH instead *enumerates the
-//! buckets* of every table and ranks them with the mining scoring function. The index
-//! therefore exposes both views: [`LshIndex::query`] for classic candidate retrieval and
-//! [`LshIndex::buckets`] for bucket enumeration.
+//! buckets* of every table and ranks them with the mining scoring function, so the index
+//! exposes bucket enumeration ([`LshIndex::buckets`], [`LshIndex::all_buckets`]) rather
+//! than nearest-neighbour queries.
 
 use std::collections::HashMap;
 
@@ -27,16 +27,6 @@ pub struct LshConfig {
 }
 
 impl LshConfig {
-    /// A single-table configuration (the paper's experiments use `l = 1`, `d′ = 10`).
-    pub fn single_table(dims: usize, num_bits: usize, seed: u64) -> Self {
-        LshConfig {
-            dims,
-            num_bits,
-            num_tables: 1,
-            seed,
-        }
-    }
-
     fn validate(&self) {
         assert!(self.dims > 0, "LSH needs a positive dimensionality");
         assert!(self.num_bits > 0, "LSH needs at least one hash bit");
@@ -54,7 +44,6 @@ struct Table {
 /// A multi-table random-hyperplane LSH index over a fixed set of items.
 #[derive(Debug, Clone)]
 pub struct LshIndex {
-    config: LshConfig,
     num_items: usize,
     tables: Vec<Table>,
 }
@@ -93,31 +82,12 @@ impl LshIndex {
             }
         }
 
-        LshIndex {
-            config,
-            num_items,
-            tables,
-        }
-    }
-
-    /// The index configuration.
-    pub fn config(&self) -> &LshConfig {
-        &self.config
-    }
-
-    /// Number of indexed items.
-    pub fn num_items(&self) -> usize {
-        self.num_items
+        LshIndex { num_items, tables }
     }
 
     /// Number of hash tables.
     pub fn num_tables(&self) -> usize {
         self.tables.len()
-    }
-
-    /// Number of non-empty buckets in one table.
-    pub fn num_buckets(&self, table: usize) -> usize {
-        self.tables[table].buckets.len()
     }
 
     /// The buckets of one table, as `(signature, member item indices)` pairs, sorted by
@@ -137,26 +107,6 @@ impl LshIndex {
         (0..self.num_tables())
             .flat_map(|t| self.buckets(t).into_iter().map(|(_, members)| members))
             .collect()
-    }
-
-    /// The bit signature of a query vector under one table's hyperplane family.
-    pub fn signature(&self, table: usize, vector: SparseVector<'_>) -> BitSignature {
-        self.tables[table].family.hash(vector)
-    }
-
-    /// Classic LSH candidate retrieval: the union (deduplicated, sorted) of the buckets
-    /// the query vector hashes into across all tables.
-    pub fn query(&self, vector: SparseVector<'_>) -> Vec<usize> {
-        let mut candidates: Vec<usize> = Vec::new();
-        for table in &self.tables {
-            let sig = table.family.hash(vector);
-            if let Some(members) = table.buckets.get(&sig) {
-                candidates.extend_from_slice(members);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates
     }
 
     /// The average bucket occupancy of one table (diagnostic for choosing `d′`).
@@ -204,7 +154,7 @@ mod tests {
     #[test]
     fn every_item_lands_in_exactly_one_bucket_per_table() {
         let index = build(8, 3);
-        assert_eq!(index.num_items(), 30);
+        assert_eq!(index.num_items, 30);
         assert_eq!(index.num_tables(), 3);
         for t in 0..3 {
             let total: usize = index.buckets(t).iter().map(|(_, m)| m.len()).sum();
@@ -217,20 +167,18 @@ mod tests {
         let index = build(6, 1);
         let items = clustered_items();
         // Items 0 and 5 are nearly parallel: same signature.
+        let family = &index.tables[0].family;
         assert_eq!(
-            index.signature(0, items[0].as_slice()),
-            index.signature(0, items[5].as_slice())
+            family.hash(items[0].as_slice()),
+            family.hash(items[5].as_slice())
         );
-        // Query with a cluster-0 vector returns cluster-0 items among candidates.
-        let candidates = index.query(&[(0u32, 1.0), (1, 0.95)]);
-        assert!(candidates.iter().any(|&i| i < 10));
     }
 
     #[test]
     fn more_bits_means_more_smaller_buckets() {
         let coarse = build(2, 1);
         let fine = build(16, 1);
-        assert!(fine.num_buckets(0) >= coarse.num_buckets(0));
+        assert!(fine.buckets(0).len() >= coarse.buckets(0).len());
         assert!(fine.mean_bucket_size(0) <= coarse.mean_bucket_size(0) + 1e-9);
     }
 
@@ -251,16 +199,6 @@ mod tests {
                 .collect();
             assert_eq!(ba, bb);
         }
-    }
-
-    #[test]
-    fn query_on_empty_region_returns_nothing_or_few() {
-        let index = build(16, 1);
-        // A vector orthogonal to every indexed cluster direction is unlikely to share a
-        // 16-bit signature with any of them; at minimum the call must not panic and must
-        // return valid indices.
-        let candidates = index.query(&[(0u32, -1.0), (2, -1.0), (4, -1.0)]);
-        assert!(candidates.iter().all(|&i| i < 30));
     }
 
     #[test]

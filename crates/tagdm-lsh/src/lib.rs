@@ -18,8 +18,7 @@
 //!
 //! * [`hyperplane`] — random hyperplanes and hyperplane families;
 //! * [`signature`] — compact bit signatures with Hamming utilities;
-//! * [`index`] — multi-table LSH index with bucket enumeration and nearest-neighbour
-//!   queries, plus the collision-probability bounds used in the paper's analysis.
+//! * [`index`] — multi-table LSH index with bucket enumeration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -65,11 +65,6 @@ impl BitSignature {
         }
     }
 
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Hamming distance to another signature of the same length.
     pub fn hamming_distance(&self, other: &BitSignature) -> usize {
         assert_eq!(self.len, other.len, "signatures must have the same length");
@@ -92,17 +87,16 @@ impl BitSignature {
         }
         out
     }
-
-    /// The bits as booleans.
-    pub fn to_bits(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn bits(sig: &BitSignature) -> Vec<bool> {
+        (0..sig.len()).map(|i| sig.get(i)).collect()
+    }
 
     #[test]
     fn set_get_roundtrip_across_word_boundaries() {
@@ -111,18 +105,19 @@ mod tests {
             sig.set(i, true);
             assert!(sig.get(i));
         }
-        assert_eq!(sig.count_ones(), 8);
+        let ones = |sig: &BitSignature| bits(sig).iter().filter(|&&b| b).count();
+        assert_eq!(ones(&sig), 8);
         sig.set(64, false);
         assert!(!sig.get(64));
-        assert_eq!(sig.count_ones(), 7);
+        assert_eq!(ones(&sig), 7);
     }
 
     #[test]
     fn from_bits_matches_get() {
-        let bits = vec![true, false, true, true, false];
-        let sig = BitSignature::from_bits(&bits);
+        let expected = vec![true, false, true, true, false];
+        let sig = BitSignature::from_bits(&expected);
         assert_eq!(sig.len(), 5);
-        assert_eq!(sig.to_bits(), bits);
+        assert_eq!(bits(&sig), expected);
     }
 
     #[test]
@@ -137,7 +132,7 @@ mod tests {
     fn truncation_keeps_prefix() {
         let sig = BitSignature::from_bits(&[true, false, true, true]);
         let t = sig.truncated(2);
-        assert_eq!(t.to_bits(), vec![true, false]);
+        assert_eq!(bits(&t), vec![true, false]);
         // Truncating beyond the length is a no-op.
         assert_eq!(sig.truncated(10).len(), 4);
     }

@@ -1,5 +1,5 @@
 //! Latent Dirichlet Allocation (Blei, Ng & Jordan, 2003 — reference \[3\] of the paper)
-//! trained by collapsed Gibbs sampling, with fold-in inference for unseen documents.
+//! trained by collapsed Gibbs sampling.
 //!
 //! The paper's evaluation summarizes each tagging-action group's tag multiset with LDA
 //! over 25 global topics and uses the inferred per-group topic distribution as the
@@ -8,10 +8,8 @@
 //! * [`LdaModel::train`] — collapsed Gibbs sampling over a [`Corpus`];
 //! * [`LdaModel::document_topics`] — the per-document topic distributions θ (the group
 //!   tag signatures);
-//! * [`LdaModel::topic_terms`] — the per-topic term distributions φ (useful for
-//!   rendering topics);
-//! * [`LdaModel::infer`] — fold-in Gibbs inference of θ for a document that was not part
-//!   of training;
+//! * [`LdaModel::topic_terms`] — the per-topic term distributions φ;
+//! * [`LdaModel::log_likelihood`] — the per-token fit of the training corpus;
 //! * [`LdaSummarizer`] — the [`GroupSummarizer`]
 //!   adapter used by the TagDM pipeline.
 
@@ -76,17 +74,20 @@ impl LdaConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.num_topics > 0, "LDA needs at least one topic");
-        assert!(self.iterations > 0, "LDA needs at least one iteration");
-        assert!(
-            self.burn_in < self.iterations,
-            "burn-in must be shorter than training"
-        );
-        assert!(
-            self.alpha > 0.0 && self.beta > 0.0,
-            "Dirichlet priors must be positive"
-        );
+    /// Check the settings [`LdaModel::train`] needs: at least one topic, a burn-in
+    /// shorter than training, and finite positive Dirichlet priors.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_topics == 0 {
+            return Err("LDA needs at least one topic".into());
+        }
+        if self.burn_in >= self.iterations {
+            return Err("burn-in must be shorter than training".into());
+        }
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.alpha) || !positive(self.beta) {
+            return Err("Dirichlet priors must be finite and positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -107,8 +108,13 @@ pub struct LdaModel {
 
 impl LdaModel {
     /// Train a model on `corpus` by collapsed Gibbs sampling.
+    ///
+    /// # Panics
+    /// If `config` fails [`LdaConfig::validate`].
     pub fn train(corpus: &Corpus, config: LdaConfig) -> Self {
-        config.validate();
+        if let Err(reason) = config.validate() {
+            panic!("{reason}");
+        }
         let k = config.num_topics;
         let v = corpus.num_terms().max(1);
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -204,24 +210,9 @@ impl LdaModel {
         }
     }
 
-    /// The configuration the model was trained with.
-    pub fn config(&self) -> &LdaConfig {
-        &self.config
-    }
-
     /// Number of topics `K`.
     pub fn num_topics(&self) -> usize {
         self.config.num_topics
-    }
-
-    /// Vocabulary size `V`.
-    pub fn num_terms(&self) -> usize {
-        self.num_terms
-    }
-
-    /// Number of training documents.
-    pub fn num_documents(&self) -> usize {
-        self.doc_topic.len()
     }
 
     /// θ_d: the topic distribution of training document `d` (sums to 1).
@@ -241,71 +232,6 @@ impl LdaModel {
         self.topic_term[t]
             .iter()
             .map(|&c| (c + self.config.beta) / denom)
-            .collect()
-    }
-
-    /// The `count` most probable terms of topic `t`.
-    pub fn top_terms(&self, t: usize, count: usize) -> Vec<(u32, f64)> {
-        let phi = self.topic_terms(t);
-        let mut indexed: Vec<(u32, f64)> = phi
-            .into_iter()
-            .enumerate()
-            .map(|(w, p)| (w as u32, p))
-            .collect();
-        indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        indexed.truncate(count);
-        indexed
-    }
-
-    /// Fold-in inference: estimate θ for an unseen document by Gibbs sampling its token
-    /// assignments against the *fixed* trained topic-term distributions.
-    pub fn infer(&self, doc: &TagBag, iterations: usize, seed: u64) -> Vec<f64> {
-        let k = self.config.num_topics;
-        let tokens = flatten(doc)
-            .into_iter()
-            .filter(|&w| (w as usize) < self.num_terms)
-            .collect::<Vec<_>>();
-        let mut rng = StdRng::seed_from_u64(seed);
-        if tokens.is_empty() {
-            return vec![1.0 / k as f64; k];
-        }
-
-        // Pre-compute φ columns for the document's terms.
-        let phi: Vec<Vec<f64>> = (0..k).map(|t| self.topic_terms(t)).collect();
-        let mut n_dk = vec![0u32; k];
-        let mut z = Vec::with_capacity(tokens.len());
-        for _ in &tokens {
-            let t = rng.gen_range(0..k);
-            n_dk[t] += 1;
-            z.push(t);
-        }
-        let mut weights = vec![0.0f64; k];
-        let iterations = iterations.max(1);
-        let burn_in = iterations / 2;
-        let mut acc = vec![0.0f64; k];
-        let mut samples = 0usize;
-        for iteration in 0..iterations {
-            for (pos, &w) in tokens.iter().enumerate() {
-                let old = z[pos];
-                n_dk[old] -= 1;
-                for t in 0..k {
-                    weights[t] = (f64::from(n_dk[t]) + self.config.alpha) * phi[t][w as usize];
-                }
-                let new = sample_index(&mut rng, &weights);
-                z[pos] = new;
-                n_dk[new] += 1;
-            }
-            if iteration >= burn_in {
-                samples += 1;
-                for (t, &c) in n_dk.iter().enumerate() {
-                    acc[t] += f64::from(c);
-                }
-            }
-        }
-        let samples = samples.max(1) as f64;
-        let denom = tokens.len() as f64 + k as f64 * self.config.alpha;
-        acc.iter()
-            .map(|&c| (c / samples + self.config.alpha) / denom)
             .collect()
     }
 
@@ -343,40 +269,21 @@ impl LdaModel {
 #[derive(Debug, Clone)]
 pub struct LdaSummarizer {
     config: LdaConfig,
-    model: Option<LdaModel>,
 }
 
 impl LdaSummarizer {
     /// Create a summarizer with the given LDA configuration.
     pub fn new(config: LdaConfig) -> Self {
-        LdaSummarizer {
-            config,
-            model: None,
-        }
-    }
-
-    /// The trained model, if `summarize` has been called.
-    pub fn model(&self) -> Option<&LdaModel> {
-        self.model.as_ref()
+        LdaSummarizer { config }
     }
 }
 
 impl GroupSummarizer for LdaSummarizer {
-    fn signature_dims(&self, _corpus: &Corpus) -> usize {
-        self.config.num_topics
-    }
-
-    fn summarize(&mut self, corpus: &Corpus) -> Vec<TagSignature> {
+    fn summarize(&self, corpus: &Corpus) -> Vec<TagSignature> {
         let model = LdaModel::train(corpus, self.config);
-        let signatures = (0..corpus.len())
+        (0..corpus.len())
             .map(|d| TagSignature::from_dense(&model.document_topics(d)))
-            .collect();
-        self.model = Some(model);
-        signatures
-    }
-
-    fn name(&self) -> &'static str {
-        "lda"
+            .collect()
     }
 }
 
@@ -425,7 +332,7 @@ mod tests {
     fn theta_and_phi_are_probability_distributions() {
         let corpus = bimodal_corpus(6);
         let model = LdaModel::train(&corpus, LdaConfig::fast(3));
-        for d in 0..model.num_documents() {
+        for d in 0..corpus.len() {
             let theta = model.document_topics(d);
             assert_eq!(theta.len(), 3);
             assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -463,27 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_in_inference_matches_training_structure() {
-        let corpus = bimodal_corpus(10);
-        let model = LdaModel::train(&corpus, LdaConfig::fast(2));
-        // A new document made of theme-A terms should land near theme-A training docs.
-        let theta_new = model.infer(&vec![(0, 2), (1, 2), (2, 1)], 40, 7);
-        assert!((theta_new.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let new_sig = TagSignature::from_dense(&theta_new);
-        let train_a = TagSignature::from_dense(&model.document_topics(0));
-        let train_b = TagSignature::from_dense(&model.document_topics(1));
-        assert!(new_sig.cosine_similarity(&train_a) > new_sig.cosine_similarity(&train_b));
-    }
-
-    #[test]
-    fn infer_on_empty_document_is_uniform() {
-        let corpus = bimodal_corpus(3);
-        let model = LdaModel::train(&corpus, LdaConfig::fast(4));
-        let theta = model.infer(&vec![], 10, 1);
-        assert!(theta.iter().all(|&p| (p - 0.25).abs() < 1e-12));
-    }
-
-    #[test]
     fn log_likelihood_beats_a_random_model() {
         let corpus = bimodal_corpus(8);
         let trained = LdaModel::train(&corpus, LdaConfig::fast(2));
@@ -497,21 +383,6 @@ mod tests {
             },
         );
         assert!(trained.log_likelihood(&corpus) >= barely.log_likelihood(&corpus) - 0.05);
-    }
-
-    #[test]
-    fn top_terms_reflect_topic_content() {
-        let corpus = bimodal_corpus(10);
-        let model = LdaModel::train(&corpus, LdaConfig::fast(2));
-        // Each topic's top terms should be drawn mostly from one theme's term range.
-        for t in 0..2 {
-            let top: Vec<u32> = model.top_terms(t, 3).into_iter().map(|(w, _)| w).collect();
-            let theme_a = top.iter().filter(|&&w| w < 5).count();
-            assert!(
-                theme_a == 0 || theme_a == 3,
-                "topic {t} mixes themes: {top:?}"
-            );
-        }
     }
 
     #[test]
@@ -532,12 +403,38 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_each_unusable_setting() {
+        let ok = LdaConfig::fast(2);
+        assert_eq!(ok.validate(), Ok(()));
+        for bad in [
+            LdaConfig {
+                num_topics: 0,
+                ..ok
+            },
+            LdaConfig {
+                burn_in: ok.iterations,
+                ..ok
+            },
+            LdaConfig { alpha: 0.0, ..ok },
+            LdaConfig { beta: -1.0, ..ok },
+            LdaConfig {
+                alpha: f64::INFINITY,
+                ..ok
+            },
+            LdaConfig {
+                beta: f64::NAN,
+                ..ok
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn summarizer_produces_topic_space_signatures() {
         let corpus = bimodal_corpus(5);
-        let mut summarizer = LdaSummarizer::new(LdaConfig::fast(4));
-        let sigs = summarizer.summarize(&corpus);
+        let sigs = LdaSummarizer::new(LdaConfig::fast(4)).summarize(&corpus);
         assert_eq!(sigs.len(), corpus.len());
         assert!(sigs.iter().all(|s| s.dims() == 4));
-        assert!(summarizer.model().is_some());
     }
 }
