@@ -274,9 +274,8 @@ mod tests {
         ),
     ];
 
-    fn assert_answers(result: &ComparisonResult, expected: &[Answer]) {
-        let actual: Vec<Answer> = result
-            .runs
+    fn assert_answers(runs: &[SolverRun], expected: &[Answer]) {
+        let actual: Vec<Answer> = runs
             .iter()
             .map(|run| {
                 (
@@ -292,13 +291,32 @@ mod tests {
         assert_eq!(actual, expected);
     }
 
+    /// SM-LSH on Problems 1–3 at the larger sizes `warm-explore` also asks for, `k = 4`
+    /// and `k = 5`, at Small scale with the relaxed thresholds, bit for bit.
+    const SM_LSH_K4_ANSWERS: [Answer<'static>; 6] = [
+        (1, "SM-LSH-Fi", &[11, 41], 0x3fef88179cb00a5b, true, 48),
+        (1, "SM-LSH-Fo", &[18, 48], 0x3fef4ce35508a956, true, 121),
+        (2, "SM-LSH-Fi", &[48, 52], 0x3fef82cac5ea43db, true, 46),
+        (2, "SM-LSH-Fo", &[66, 67], 0x3fef87dfe5dd8d06, true, 90),
+        (3, "SM-LSH-Fi", &[11, 41], 0x3fef88179cb00a5b, true, 48),
+        (3, "SM-LSH-Fo", &[32, 60], 0x3fefb72b422fda2b, true, 61),
+    ];
+    const SM_LSH_K5_ANSWERS: [Answer<'static>; 6] = [
+        (1, "SM-LSH-Fi", &[11, 41], 0x3fef88179cb00a5b, true, 52),
+        (1, "SM-LSH-Fo", &[18, 48], 0x3fef4ce35508a956, true, 121),
+        (2, "SM-LSH-Fi", &[48, 52], 0x3fef82cac5ea43db, true, 50),
+        (2, "SM-LSH-Fo", &[66, 67], 0x3fef87dfe5dd8d06, true, 95),
+        (3, "SM-LSH-Fi", &[11, 41], 0x3fef88179cb00a5b, true, 52),
+        (3, "SM-LSH-Fo", &[32, 60], 0x3fefb72b422fda2b, true, 68),
+    ];
+
     #[test]
     fn similarity_comparison_runs_all_nine_measurements() {
         let workload = small_workload();
         let result = run_similarity(&workload, workload.relaxed_params());
         assert_eq!(result.runs.len(), 9);
         assert!(!result.exact_capped);
-        assert_answers(&result, &SIMILARITY_ANSWERS);
+        assert_answers(&result.runs, &SIMILARITY_ANSWERS);
         for pid in 1..=3 {
             let runs = result.runs_for(pid);
             assert_eq!(runs.len(), 3);
@@ -323,7 +341,7 @@ mod tests {
         let workload = small_workload();
         let result = run_diversity(&workload, workload.relaxed_params());
         assert_eq!(result.runs.len(), 9);
-        assert_answers(&result, &DIVERSITY_ANSWERS);
+        assert_answers(&result.runs, &DIVERSITY_ANSWERS);
         for pid in 4..=6 {
             assert_eq!(result.runs_for(pid).len(), 3);
             let exact = result.run(pid, "Exact").unwrap();
@@ -333,6 +351,26 @@ mod tests {
                 // Factor-4 guarantee holds comfortably in practice.
                 assert!(fo.report.objective * 4.0 + 1e-9 >= exact.report.objective);
             }
+        }
+    }
+
+    #[test]
+    fn sm_lsh_answers_at_k_4_and_5_are_pinned() {
+        let workload = small_workload();
+        let lsh_fi = SmLshSolver::new(ConstraintMode::Filter);
+        let lsh_fo = SmLshSolver::new(ConstraintMode::Fold);
+        for (k, expected) in [(4, &SM_LSH_K4_ANSWERS), (5, &SM_LSH_K5_ANSWERS)] {
+            let params = ProblemParams {
+                k,
+                ..workload.relaxed_params()
+            };
+            let runs: Vec<SolverRun> = (1..=3)
+                .flat_map(|pid| {
+                    let problem = catalog::problem(pid, params);
+                    run_problem(&workload, pid, &problem, &[&lsh_fi, &lsh_fo])
+                })
+                .collect();
+            assert_answers(&runs, expected);
         }
     }
 

@@ -120,80 +120,29 @@ pub trait Solver {
     }
 }
 
-/// Greedily pick at most `limit` members of `candidates` maximizing the problem's
-/// pairwise objective: seed with the best pair, then repeatedly add the candidate with
-/// the largest total pairwise objective to the already-selected ones. Shared by the LSH
-/// bucket refinement and by tests.
-pub(crate) fn greedy_select_by_objective(
+/// Greedily pick at most `limit` members of `candidates` by the problem's pairwise
+/// objective, keeping every picked prefix `admissible`. The first two picks are the
+/// best admissible pair (ties go to the earlier pair in candidate order); each further
+/// pick is the admissible candidate with the largest objective summed against the picks
+/// so far, in pick order, until `limit` is reached or no candidate is admissible.
+///
+/// The picks come back in pick order, so the greedy run to size `s` is the first `s`
+/// picks of any longer run. Returns nothing when `limit < 2`, when there are fewer than
+/// two candidates or when no pair is admissible. Used by the LSH bucket refinement.
+pub(crate) fn greedy_picks(
     ctx: &MiningContext,
     problem: &TagDmProblem,
     candidates: &[usize],
     limit: usize,
-) -> Vec<usize> {
-    if candidates.len() <= limit {
-        return candidates.to_vec();
-    }
-    if limit == 0 {
-        return Vec::new();
-    }
-    if limit == 1 {
-        return vec![candidates[0]];
-    }
-    // Seed with the best pair.
-    let mut best_pair = (candidates[0], candidates[1]);
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &a) in candidates.iter().enumerate() {
-        for &b in candidates.iter().skip(i + 1) {
-            let score = problem.pairwise_objective(ctx, a, b);
-            if score > best_score {
-                best_score = score;
-                best_pair = (a, b);
-            }
-        }
-    }
-    let mut selected = vec![best_pair.0, best_pair.1];
-    while selected.len() < limit {
-        let mut best: Option<(usize, f64)> = None;
-        for &candidate in candidates {
-            if selected.contains(&candidate) {
-                continue;
-            }
-            let gain: f64 = selected
-                .iter()
-                .map(|&s| problem.pairwise_objective(ctx, candidate, s))
-                .sum();
-            if best.is_none_or(|(_, g)| gain > g) {
-                best = Some((candidate, gain));
-            }
-        }
-        match best {
-            Some((candidate, _)) => selected.push(candidate),
-            None => break,
-        }
-    }
-    selected.sort_unstable();
-    selected
-}
-
-/// Constraint-aware variant of [`greedy_select_by_objective`]: grow the set greedily by
-/// pairwise objective but only admit a candidate if the grown set still satisfies every
-/// hard constraint of the problem. Used by the LSH bucket refinement so that a bucket
-/// whose objective-best subset violates a constraint can still contribute a feasible
-/// (slightly lower-scoring) subset.
-pub(crate) fn greedy_select_feasible(
-    ctx: &MiningContext,
-    problem: &TagDmProblem,
-    candidates: &[usize],
-    limit: usize,
+    admissible: impl Fn(&[usize]) -> bool,
 ) -> Vec<usize> {
     if limit < 2 || candidates.len() < 2 {
         return Vec::new();
     }
-    // Seed with the best constraint-satisfying pair.
     let mut best_pair: Option<(usize, usize, f64)> = None;
     for (i, &a) in candidates.iter().enumerate() {
-        for &b in candidates.iter().skip(i + 1) {
-            if !problem.constraints_satisfied(ctx, &[a, b]) {
+        for &b in &candidates[i + 1..] {
+            if !admissible(&[a, b]) {
                 continue;
             }
             let score = problem.pairwise_objective(ctx, a, b);
@@ -205,19 +154,20 @@ pub(crate) fn greedy_select_feasible(
     let Some((a, b, _)) = best_pair else {
         return Vec::new();
     };
-    let mut selected = vec![a, b];
-    while selected.len() < limit {
+    let mut picks = vec![a, b];
+    while picks.len() < limit {
         let mut best: Option<(usize, f64)> = None;
         for &candidate in candidates {
-            if selected.contains(&candidate) {
+            if picks.contains(&candidate) {
                 continue;
             }
-            let mut trial = selected.clone();
-            trial.push(candidate);
-            if !problem.constraints_satisfied(ctx, &trial) {
+            picks.push(candidate);
+            let ok = admissible(&picks);
+            picks.pop();
+            if !ok {
                 continue;
             }
-            let gain: f64 = selected
+            let gain: f64 = picks
                 .iter()
                 .map(|&s| problem.pairwise_objective(ctx, candidate, s))
                 .sum();
@@ -226,12 +176,11 @@ pub(crate) fn greedy_select_feasible(
             }
         }
         match best {
-            Some((candidate, _)) => selected.push(candidate),
+            Some((candidate, _)) => picks.push(candidate),
             None => break,
         }
     }
-    selected.sort_unstable();
-    selected
+    picks
 }
 
 #[cfg(test)]
@@ -392,33 +341,53 @@ mod tests {
         assert!(!Probe.solve_cancellable(&ctx, &problem, &fired).feasible);
     }
 
+    type Admissible<'a> = &'a dyn Fn(&[usize]) -> bool;
+
     #[test]
-    fn greedy_selection_returns_bounded_distinct_sets() {
+    fn greedy_picks_are_distinct_admissible_and_prefix_stable() {
         let ctx = test_support::small_context();
-        let problem = problem_1(ProblemParams {
+        let params = ProblemParams {
             k: 3,
             min_support: 1,
-            user_threshold: 0.0,
-            item_threshold: 0.0,
-        });
+            user_threshold: 0.2,
+            item_threshold: 0.2,
+        };
         let candidates: Vec<usize> = (0..ctx.num_groups()).collect();
-        let picked = greedy_select_by_objective(&ctx, &problem, &candidates, 3);
-        assert_eq!(picked.len(), 3.min(ctx.num_groups()));
-        let mut dedup = picked.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), picked.len());
-        // Candidate lists at or below the limit are returned unchanged.
-        assert_eq!(
-            greedy_select_by_objective(&ctx, &problem, &[1, 2], 3),
-            vec![1, 2]
-        );
-        assert_eq!(
-            greedy_select_by_objective(&ctx, &problem, &candidates, 0).len(),
-            0
-        );
-        assert_eq!(
-            greedy_select_by_objective(&ctx, &problem, &candidates, 1).len(),
-            1
-        );
+        let limit = 5;
+        assert!(candidates.len() > limit);
+        for pid in 1..=6 {
+            let problem = crate::catalog::problem(pid, params);
+            let any = |_: &[usize]| true;
+            let feasible = |set: &[usize]| problem.constraints_satisfied(&ctx, set);
+            assert_eq!(
+                greedy_picks(&ctx, &problem, &candidates, limit, any).len(),
+                limit
+            );
+            let predicates: [Admissible; 2] = [&any, &feasible];
+            for admissible in predicates {
+                let picks = greedy_picks(&ctx, &problem, &candidates, limit, admissible);
+                let distinct: std::collections::BTreeSet<usize> = picks.iter().copied().collect();
+                assert_eq!(distinct.len(), picks.len(), "problem {pid}");
+                assert!(picks.iter().all(|p| candidates.contains(p)));
+                for size in 2..=limit {
+                    let short = greedy_picks(&ctx, &problem, &candidates, size, admissible);
+                    assert_eq!(picks[..size.min(picks.len())], short[..], "problem {pid}");
+                }
+                // Too small a limit or too few candidates: no picks.
+                for (pool, size) in [
+                    (&candidates[..], 0),
+                    (&candidates[..], 1),
+                    (&candidates[..1], limit),
+                    (&[], limit),
+                ] {
+                    assert!(greedy_picks(&ctx, &problem, pool, size, admissible).is_empty());
+                }
+            }
+            let constrained = greedy_picks(&ctx, &problem, &candidates, limit, feasible);
+            for size in 2..=constrained.len() {
+                assert!(problem.constraints_satisfied(&ctx, &constrained[..size]));
+            }
+            assert!(greedy_picks(&ctx, &problem, &candidates, limit, |_| false).is_empty());
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! `d′`-bit signatures (Algorithm 1). Instead of using the buckets for nearest-neighbour
 //! queries, it *ranks the buckets with the mining scoring function* and returns the best
 //! bucket whose size fits `1 ≤ |G_opt| ≤ k`. If no bucket qualifies, the number of hash
-//! bits `d′` is relaxed by binary search (fewer bits → larger buckets) and hashing is
-//! repeated.
+//! bits `d′` is halved (fewer bits → larger buckets) and hashing is repeated, down to a
+//! single bit.
 //!
 //! Constraint handling:
 //!
@@ -19,9 +19,8 @@
 //!   remaining constraints are post-checked as in filtering.
 //!
 //! One practical extension over the paper's pseudo-code: buckets larger than `k` are not
-//! discarded but greedily refined to their best `k`-subset (disable with
-//! [`SmLshSolver::strict_bucket_semantics`]), which avoids needless null results when
-//! `d′` is small.
+//! discarded but greedily refined to their best subsets of every admissible size, which
+//! avoids needless null results when `d′` is small.
 
 use std::time::Instant;
 
@@ -30,9 +29,7 @@ use tagdm_lsh::index::{LshConfig, LshIndex};
 use crate::context::MiningContext;
 use crate::criteria::TaggingDimension;
 use crate::problem::TagDmProblem;
-use crate::solvers::{
-    greedy_select_by_objective, CancelToken, ConstraintMode, Solver, SolverOutcome,
-};
+use crate::solvers::{greedy_picks, CancelToken, ConstraintMode, Solver, SolverOutcome};
 
 /// Tag-similarity maximization by locality sensitive hashing.
 #[derive(Debug, Clone)]
@@ -42,13 +39,10 @@ pub struct SmLshSolver {
     /// Number of hash tables `l` (the paper's experiments use 1).
     pub num_tables: usize,
     /// Initial number of hash bits `d′` (the paper's experiments use 10); the iterative
-    /// relaxation may lower it.
+    /// relaxation halves it, down to 1, while no bucket qualifies.
     pub initial_bits: usize,
     /// RNG seed for the hyperplane families.
     pub seed: u64,
-    /// When `true`, buckets larger than `k` are skipped exactly as in Algorithm 1; when
-    /// `false` (default), such buckets are greedily refined to their best `k`-subset.
-    pub strict_bucket_semantics: bool,
 }
 
 impl SmLshSolver {
@@ -59,7 +53,6 @@ impl SmLshSolver {
             num_tables: 1,
             initial_bits: 10,
             seed: 0x5A17,
-            strict_bucket_semantics: false,
         }
     }
 
@@ -78,12 +71,6 @@ impl SmLshSolver {
     /// Override the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Use the strict bucket semantics of Algorithm 1 (oversized buckets are skipped).
-    pub fn strict(mut self) -> Self {
-        self.strict_bucket_semantics = true;
         self
     }
 
@@ -124,46 +111,39 @@ impl SmLshSolver {
             if bucket.len() < problem.min_groups {
                 continue;
             }
-            if self.strict_bucket_semantics && bucket.len() > problem.max_groups {
-                // Algorithm 1 only accepts buckets whose size already fits 1 ≤ |G| ≤ k.
-                continue;
-            }
             // Candidate sets drawn from this bucket: the bucket itself when it fits, and
-            // (in the refining mode) greedy sub-selections of every admissible size, so
-            // that a feasible high-scoring pair inside an oversized or partly
-            // constraint-violating bucket is not lost.
+            // greedy sub-selections of every admissible smaller size, so that a feasible
+            // high-scoring pair inside an oversized or partly constraint-violating bucket
+            // is not lost. One greedy run to the largest such size yields every smaller
+            // one as a prefix of its picks.
             let mut candidates: Vec<Vec<usize>> = Vec::new();
             if bucket.len() <= problem.max_groups {
                 candidates.push(bucket.to_vec());
             }
-            if !self.strict_bucket_semantics {
-                let upper = problem.max_groups.min(bucket.len());
-                for size in (problem.min_groups..=upper).rev() {
-                    if size == bucket.len() {
-                        continue; // already covered by the full bucket
-                    }
-                    candidates.push(greedy_select_by_objective(ctx, problem, bucket, size));
-                }
-                // A constraint-aware selection rescues buckets whose objective-best
-                // subset violates a hard constraint that some other subset satisfies.
-                if self.mode != ConstraintMode::Ignore && !problem.constraints.is_empty() {
-                    candidates.push(crate::solvers::greedy_select_feasible(
-                        ctx,
-                        problem,
-                        bucket,
-                        problem.max_groups,
-                    ));
-                }
-                // A support-oriented selection (the bucket's largest groups) rescues
-                // buckets whose objective-best subsets cover too few tuples to meet the
-                // group-support threshold p.
-                if self.mode != ConstraintMode::Ignore && problem.min_support > 1 {
-                    let mut by_size = bucket.to_vec();
-                    by_size.sort_by_key(|&g| std::cmp::Reverse(ctx.group(g).len()));
-                    by_size.truncate(problem.max_groups);
-                    by_size.sort_unstable();
-                    candidates.push(by_size);
-                }
+            let largest = problem.max_groups.min(bucket.len().saturating_sub(1));
+            let picks = greedy_picks(ctx, problem, bucket, largest, |_| true);
+            for size in (problem.min_groups..=largest).rev() {
+                candidates.push(match size {
+                    1 => vec![bucket[0]],
+                    _ => sorted(picks[..size].to_vec()),
+                });
+            }
+            // A constraint-aware selection rescues buckets whose objective-best subset
+            // violates a hard constraint that some other subset satisfies.
+            if self.mode != ConstraintMode::Ignore && !problem.constraints.is_empty() {
+                let feasible = greedy_picks(ctx, problem, bucket, problem.max_groups, |set| {
+                    problem.constraints_satisfied(ctx, set)
+                });
+                candidates.push(sorted(feasible));
+            }
+            // A support-oriented selection (the bucket's largest groups) rescues buckets
+            // whose objective-best subsets cover too few tuples to meet the group-support
+            // threshold p.
+            if self.mode != ConstraintMode::Ignore && problem.min_support > 1 {
+                let mut by_size = bucket.to_vec();
+                by_size.sort_by_key(|&g| std::cmp::Reverse(ctx.group(g).len()));
+                by_size.truncate(problem.max_groups);
+                candidates.push(sorted(by_size));
             }
 
             for candidate in candidates {
@@ -190,6 +170,12 @@ impl SmLshSolver {
     }
 }
 
+/// `set` sorted in ascending order.
+fn sorted(mut set: Vec<usize>) -> Vec<usize> {
+    set.sort_unstable();
+    set
+}
+
 impl Solver for SmLshSolver {
     fn name(&self) -> String {
         format!("SM-LSH{}", self.mode.suffix())
@@ -211,12 +197,10 @@ impl Solver for SmLshSolver {
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
 
-        // Iterative relaxation of d′ by binary search (Algorithm 1): start from the
-        // configured d′; on a null result, retry with fewer bits (larger buckets).
-        let lo = 1usize;
-        let mut hi = self.initial_bits;
+        // Iterative relaxation of d′ (Algorithm 1): start from the configured d′; on a
+        // null result, halve it (fewer bits → larger buckets) and rehash.
         let mut bits = self.initial_bits;
-        loop {
+        while bits > 0 {
             let index = LshIndex::build(
                 LshConfig {
                     dims,
@@ -228,8 +212,8 @@ impl Solver for SmLshSolver {
             );
             let (found, evaluated) = self.evaluate_buckets(ctx, problem, &index, cancel);
             evaluated_total += evaluated;
-            if let Some((groups, objective)) = found {
-                best = Some((groups, objective));
+            if found.is_some() {
+                best = found;
                 break;
             }
             // A fired token ends the relaxation: rehashing with fewer bits restarts the
@@ -237,18 +221,7 @@ impl Solver for SmLshSolver {
             if cancel.is_cancelled() {
                 break;
             }
-            // Null result: relax d′ downwards.
-            if bits == 0 || lo > hi {
-                break;
-            }
-            hi = bits.saturating_sub(1);
-            if lo > hi {
-                break;
-            }
-            bits = (lo + hi) / 2;
-            if bits == 0 {
-                break;
-            }
+            bits /= 2;
         }
 
         let elapsed = start.elapsed();
@@ -344,11 +317,11 @@ mod tests {
     fn relaxation_recovers_from_too_many_bits() {
         let ctx = small_context();
         let problem = problem_1(loose_params());
-        // With an absurdly large d′ every group initially lands in its own bucket; the
-        // binary-search relaxation must still find a result.
+        // With an absurdly large d′ every group initially lands in its own bucket, and a
+        // single group scores 0 against the thresholds, so the first pass finds nothing;
+        // halving d′ must still find a result.
         let outcome = SmLshSolver::new(ConstraintMode::Filter)
             .with_bits(48)
-            .strict()
             .solve(&ctx, &problem);
         assert!(
             !outcome.is_null(),

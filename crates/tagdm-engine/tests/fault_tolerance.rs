@@ -687,6 +687,10 @@ fn chaos_storm_answers_every_caller_and_restores_the_pool() {
             .with_admission(AdmissionPolicy::ShedOldest)
             .with_supervisor(fast_supervisor().with_max_restarts(64)),
     );
+    // Hold the first cold build in flight while the stampede looks the context up, so
+    // the dedupe count asserted below does not hang on thread scheduling.
+    let hold_build = FailAction::Delay(Duration::from_millis(200));
+    failpoint::arm_times(site::CONTEXT_BUILD, 1, hold_build);
     // ≥10% of jobs panic inside the boundary; every ~25th loop iteration an escape
     // panic kills a worker outright, so supervision runs during the storm too.
     failpoint::arm_one_in(site::RUN_JOB, 10, FailAction::Panic("chaos".into()));
